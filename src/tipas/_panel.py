@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import ModelStructure, UserHistory, clamp_gaps
+from .model import ModelStructure, UserHistory, clamp_gaps, tod_categories
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,8 @@ def build_panel(
     sp_src_arr = cat_int(sp_src)
     sp_dst_arr = cat_int(sp_dst)
 
-    edges = np.asarray(structure.tod_edges)
     ev_tod = ev_t_arr % structure.day_length
-    ev_cat = np.clip(
-        np.searchsorted(edges, ev_tod, side="right") - 1, 0, structure.n_categories - 1
-    ).astype(np.int64)
+    ev_cat = tod_categories(structure, ev_tod)
 
     sp_dt = clamp_gaps(ev_t_arr[sp_dst_arr] - ev_t_arr[sp_src_arr])
     sp_a_src = ev_a_arr[sp_src_arr]

@@ -3,7 +3,7 @@ and interval-based time predictors.
 
 Every model exposes the same surface the evaluation driver uses:
 ``predict_action(user, times, actions, t)`` and/or
-``predict_time(user, times, actions, seed=0)`` where ``times``/``actions``
+``predict_time(user, times, actions)`` where ``times``/``actions``
 are the user's full event prefix (train plus earlier test events).  Time
 predictions return ``nan`` when the model has nothing to say for that
 prefix; action ties always break toward the lowest action id.
@@ -139,7 +139,7 @@ class PoissonGlobalModel:
     def predict_action(self, user, times, actions, t) -> int:
         return int(np.argmax(self.rates))
 
-    def predict_time(self, user, times, actions, seed=0) -> float:
+    def predict_time(self, user, times, actions) -> float:
         total = float(self.rates.sum())
         if len(times) == 0 or total <= 0:
             return math.nan
@@ -183,7 +183,7 @@ class PoissonUserModel:
             self.degenerate += 1
         return int(np.argmax(row))
 
-    def predict_time(self, user, times, actions, seed=0) -> float:
+    def predict_time(self, user, times, actions) -> float:
         total = float(self._row(user).sum())
         if len(times) == 0 or total <= 0:
             return math.nan
@@ -207,7 +207,7 @@ class TimeCopyModel:
         self.global_mean = float(gaps.mean()) if gaps.size else math.nan
         return self
 
-    def predict_time(self, user, times, actions, seed=0) -> float:
+    def predict_time(self, user, times, actions) -> float:
         if len(times) >= 2:
             return 2.0 * float(times[-1]) - float(times[-2])
         if len(times) == 1:
@@ -235,7 +235,7 @@ class AverageIntervalModel:
         self.global_mean = float(gaps.mean())
         return self
 
-    def predict_time(self, user, times, actions, seed=0) -> float:
+    def predict_time(self, user, times, actions) -> float:
         if len(times) == 0:
             return math.nan
         return float(times[-1]) + self.global_mean
@@ -260,7 +260,7 @@ class UserAverageIntervalModel:
         self.global_mean = float(gaps.mean())
         return self
 
-    def predict_time(self, user, times, actions, seed=0) -> float:
+    def predict_time(self, user, times, actions) -> float:
         if len(times) == 0:
             return math.nan
         if len(times) >= 2:

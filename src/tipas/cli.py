@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 All randomness flows from ``--seed``; reports and models are canonical JSON
-so identical runs are byte-identical.  ``TIPAS_THREADS`` caps the worker
-threads used for simulation-based time predictions during ``evaluate``.
+so identical runs are byte-identical.  Next-event times are computed exactly
+from the model (no sampling), so ``predict-time`` takes no seed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -49,16 +48,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _max_workers() -> int:
-    cap = os.environ.get("TIPAS_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise InvalidInputError(f"TIPAS_THREADS must be an integer, got {cap!r}")
-    return 1
 
 
 def _tod_edges(n_windows: int, day_length: float = 24.0) -> tuple[float, ...]:
@@ -102,9 +91,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("predict-time", help="predict when the next event happens")
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--horizon-filter", type=float, default=12.0)
+    sp.add_argument("--horizon-filter", type=float, default=12.0,
+                    help="waits are capped at ten times this many hours")
     sp.add_argument("--t0", default=None)
     sp.add_argument("--out", default=None)
 
@@ -128,8 +116,6 @@ def _build_parser() -> _Parser:
                     help="'all', 'none', or comma-separated baseline names")
     sp.add_argument("--horizon-filter", type=float, default=12.0,
                     help="only score time predictions with true gaps within this many hours")
-    sp.add_argument("--samples", type=int, default=100,
-                    help="simulation samples per time prediction")
     sp.add_argument("--no-time", action="store_true",
                     help="skip the time-prediction task entirely")
     sp.add_argument("--out", required=True)
@@ -226,17 +212,12 @@ def _cmd_predict_time(args) -> int:
     for h in histories:
         try:
             pred = predict_next_time(
-                params,
-                h.user,
-                h,
-                n_samples=args.samples,
-                seed=args.seed,
-                horizon_filter=args.horizon_filter,
+                params, h.user, h, horizon_filter=args.horizon_filter
             )
-            out[h.user] = {"hours": pred.time, "censored_samples": pred.n_censored}
+            out[h.user] = {"hours": pred.time, "censored_probability": pred.n_censored}
         except CensoredPredictionError:
-            logger.warning("user %s: every sample was censored", h.user)
-            out[h.user] = {"hours": None, "censored_samples": args.samples}
+            logger.warning("user %s: no event can occur within the span", h.user)
+            out[h.user] = {"hours": None, "censored_probability": 1.0}
     _emit({"predictions": out}, args.out)
     return 0
 
@@ -311,17 +292,14 @@ def _cmd_evaluate(args) -> int:
     factories = {
         "tipas-time": make_tipas_factory(
             replace(config, include_short=False, include_long=False),
-            name="tipas-time", n_samples=args.samples,
-            horizon_filter=args.horizon_filter,
+            name="tipas-time", horizon_filter=args.horizon_filter,
         ),
         "tipas-time-short": make_tipas_factory(
             replace(config, include_long=False),
-            name="tipas-time-short", n_samples=args.samples,
-            horizon_filter=args.horizon_filter,
+            name="tipas-time-short", horizon_filter=args.horizon_filter,
         ),
         "tipas": make_tipas_factory(
-            config, name="tipas", n_samples=args.samples,
-            horizon_filter=args.horizon_filter,
+            config, name="tipas", horizon_filter=args.horizon_filter,
         ),
     }
     if args.baselines == "all":
@@ -340,7 +318,6 @@ def _cmd_evaluate(args) -> int:
 
     reports = {}
     csv_rows = []
-    workers = _max_workers()
     for name, factory in factories.items():
         logger.info("evaluating %s ...", name)
         report = rolling_window_eval(
@@ -350,8 +327,6 @@ def _cmd_evaluate(args) -> int:
             n_actions=n_actions,
             horizon_filter=args.horizon_filter,
             with_time=not args.no_time,
-            time_seed=args.seed,
-            n_workers=workers,
         )
         reports[name] = report_to_dict(report)
         csv_rows.extend(report_csv_rows(name, report))
@@ -372,7 +347,6 @@ def _cmd_evaluate(args) -> int:
             "baselines": sorted(n for n in factories if not n.startswith("tipas")),
             "mixtures": config.n_mixtures,
             "seed": args.seed,
-            "samples": args.samples,
             "time_prediction": not args.no_time,
             "n_windows": len(windows),
         },

@@ -22,7 +22,7 @@ class DegenerateEventError(TipasError, ValueError):
 
 
 class CensoredPredictionError(TipasError, RuntimeError):
-    """Every simulation sample ran past the censoring cap without an event."""
+    """No event can occur within the prediction span: its survival probability is 1."""
 
 
 class SimulationOverflowError(TipasError, RuntimeError):

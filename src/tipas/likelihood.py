@@ -34,6 +34,7 @@ from .model import (
     _intensity_vector_arrays,
     exp_kernel,
     gaussian_density,
+    tod_categories,
     weibull_kernel,
 )
 
@@ -219,7 +220,7 @@ def quadrature_compensator(
             raise InvalidInputError(
                 f"user {hist.user!r} has events beyond T={T}"
             )
-        cats = _cats_of(params, times)
+        cats = tod_categories(params.structure, times)
         alpha_row = params.alpha_row(hist.user)
         day = params.structure.day_length
         breaks = np.unique(
@@ -257,14 +258,19 @@ def quadrature_compensator(
     return total
 
 
-def _cats_of(params: ModelParams, times: np.ndarray) -> np.ndarray:
+def background_mass(params: ModelParams, upto) -> np.ndarray:
+    """Exact integral of the summed background rate over [0, upto], elementwise.
+
+    Whole days contribute their truncated day mass and the partial day its
+    truncated-Gaussian mass up to the remaining time of day.
+    """
     s = params.structure
-    edges = np.asarray(s.tod_edges)
-    return np.clip(
-        np.searchsorted(edges, times % s.day_length, side="right") - 1,
-        0,
-        s.n_categories - 1,
-    ).astype(np.int64)
+    upto = np.asarray(upto, dtype=np.float64)[..., None, None]
+    full_days, rem = np.divmod(upto, s.day_length)
+    sq = math.sqrt(2.0) * params.sigma
+    full_mass = day_mass(params.beta, params.mu, params.sigma, s.day_length)
+    partial = params.beta / 2.0 * (erf((rem - params.mu) / sq) + erf(params.mu / sq))
+    return (full_days * full_mass + partial).sum(axis=(-2, -1))
 
 
 def integrated_total_intensity(
@@ -278,21 +284,15 @@ def integrated_total_intensity(
     """
     if upto < 0 or not math.isfinite(upto):
         raise InvalidInputError(f"upto must be finite and >= 0, got {upto}")
-    s = params.structure
     total = upto * float(params.alpha_row(history.user).sum())
-
-    full_days, rem = divmod(upto, s.day_length)
-    sq = math.sqrt(2.0) * params.sigma
-    full_mass = day_mass(params.beta, params.mu, params.sigma, s.day_length)
-    partial = params.beta / 2.0 * (erf((rem - params.mu) / sq) + erf(params.mu / sq))
-    total += float((full_days * full_mass + partial).sum())
+    total += float(background_mass(params, upto))
 
     times = history.times()
     actions = history.actions()
     k = int(np.searchsorted(times, upto, side="left"))
     if k:
         times, actions = times[:k], actions[:k]
-        cats = _cats_of(params, times)
+        cats = tod_categories(params.structure, times)
         tail = (upto - times)[:, None]
         th = params.theta[actions]
         om = params.omega[actions]
@@ -304,6 +304,47 @@ def integrated_total_intensity(
             powered = (upto - times) ** ka
         total += float((ph * -np.expm1(-ga * powered)).sum())
     return total
+
+
+def compensator_increments(
+    params: ModelParams,
+    alpha_row: np.ndarray,
+    times: np.ndarray,
+    actions: np.ndarray,
+    cats: np.ndarray,
+    start: float,
+    lags: np.ndarray,
+) -> np.ndarray:
+    """``Lambda(start + s) - Lambda(start)`` for every lag ``s`` in ``lags``,
+    given that no event follows the array-form history before ``start + s``.
+
+    Every event must lie at or before ``start``.  The exponential tails are
+    summed through the decayed state ``D[a', a] = sum over events of action
+    a' of exp(-omega[a', a] (start - t))``, so they cost O(n A + lags A^2).
+    """
+    lags = np.asarray(lags, dtype=np.float64)
+    bg = background_mass(params, np.concatenate(([start], start + lags)))
+    out = lags * float(alpha_row.sum()) + (bg[1:] - bg[0])
+    if times.size:
+        d = start - times
+        n_act = params.structure.n_actions
+        state = np.eye(n_act)[actions].T @ np.exp(-params.omega[actions] * d[:, None])
+        decay = -np.expm1(-params.omega.reshape(-1, 1) * lags)
+        out += (params.theta * state).reshape(-1) @ decay
+        ph = params.phi[cats, actions]
+        ga = params.gamma[cats, actions]
+        ka = params.kappa[cats, actions]
+        with np.errstate(over="ignore"):
+            now = np.exp(-ga * d**ka)
+            last = np.exp(-ga * (d + lags.max(initial=0.0)) ** ka)
+            # a Weibull term that adds below 1e-17 up to the longest lag
+            # changes no increment by more than rounding, so it is skipped
+            live = ph * (now - last) > 1e-17
+            later = np.exp(
+                -ga[live, None] * (d[live, None] + lags) ** ka[live, None]
+            )
+        out += ph[live] @ (now[live, None] - later)
+    return out
 
 
 def rescaled_interarrivals(params: ModelParams, history: UserHistory) -> np.ndarray:

@@ -132,12 +132,16 @@ def time_of_day(t: float, day_length: float = 24.0) -> float:
     return t % day_length
 
 
+def tod_categories(structure: ModelStructure, times) -> np.ndarray:
+    """Index of the time-of-day window containing each of ``times``."""
+    edges = np.asarray(structure.tod_edges)
+    c = np.searchsorted(edges, np.asarray(times) % structure.day_length, side="right") - 1
+    return np.clip(c, 0, structure.n_categories - 1).astype(np.int64, copy=False)
+
+
 def tod_category(t: float, structure: ModelStructure) -> int:
     """Index of the time-of-day window containing ``time_of_day(t)``."""
-    tod = time_of_day(t, structure.day_length)
-    edges = np.asarray(structure.tod_edges)
-    c = int(np.searchsorted(edges, tod, side="right")) - 1
-    return min(max(c, 0), structure.n_categories - 1)
+    return int(tod_categories(structure, time_of_day(t, structure.day_length)))
 
 
 @dataclass(frozen=True)
@@ -327,12 +331,7 @@ def _prefix_arrays(
         actions.append(ev.action)
     times_arr = np.asarray(times, dtype=np.float64)
     actions_arr = np.asarray(actions, dtype=np.int64)
-    edges = np.asarray(structure.tod_edges)
-    tods = times_arr % structure.day_length
-    cats = np.clip(
-        np.searchsorted(edges, tods, side="right") - 1, 0, structure.n_categories - 1
-    )
-    return times_arr, actions_arr, cats
+    return times_arr, actions_arr, tod_categories(structure, times_arr)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,15 @@ from .metrics import (
     macro_recall,
     per_action_recall,
 )
+from .likelihood import compensator_increments
 from .model import (
     EventRecord,
     ModelParams,
     UserHistory,
     _intensity_vector_arrays,
     _prefix_arrays,
+    tod_categories,
 )
-from .simulate import _simulate_stream, _stream_rng
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +55,11 @@ class ActionPrediction:
 
 @dataclass(frozen=True)
 class TimePrediction:
+    """Predicted next-event time and the probability S(span) that no event
+    arrives within the prediction span."""
+
     time: float
-    n_censored: int
+    n_censored: float
 
 
 def predict_next_action(params: ModelParams, task: PredictionTask) -> ActionPrediction:
@@ -75,57 +79,84 @@ def predict_next_action(params: ModelParams, task: PredictionTask) -> ActionPred
     )
 
 
+# Gauss-Legendre rule applied on every piece of the first-arrival integral
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _survival_nodes(
+    params: ModelParams, start: float, span: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature lags and weights on [0, span].
+
+    Pieces end at every midnight after ``start`` (the background is not
+    wrapped, so the rate jumps there) and at 0.25, 1 and 3 h, where the
+    kernels of the last events change fastest.  Each piece is then split
+    evenly so none spans more than 12 standard deviations of the narrowest
+    background component: a longer piece cannot resolve that bump.
+    """
+    day = params.structure.day_length
+    first_midnight = (math.floor(start / day) + 1.0) * day - start
+    cuts = np.unique(
+        np.concatenate(([0.0, 0.25, 1.0, 3.0, span], np.arange(first_midnight, span, day)))
+    )
+    cuts = cuts[cuts <= span]
+    max_len = 12.0 * params.sigma[params.beta > 0].min(initial=math.inf)
+    edges = np.concatenate(
+        [
+            np.linspace(lo, hi, max(1, math.ceil((hi - lo) / max_len)) + 1)[:-1]
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        ]
+        + [[span]]
+    )
+    half = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
+    lags = edges[:-1, None] + half * (_GL_NODES + 1.0)
+    return lags.reshape(-1), (half * _GL_WEIGHTS).reshape(-1)
+
+
+def _next_time_arrays(
+    params: ModelParams,
+    alpha_row: np.ndarray,
+    times: np.ndarray,
+    actions: np.ndarray,
+    cats: np.ndarray,
+    span: float,
+) -> TimePrediction:
+    start = float(times[-1]) if times.size else 0.0
+    lags, weights = _survival_nodes(params, start, span)
+    surv = np.exp(
+        -compensator_increments(
+            params, alpha_row, times, actions, cats, start, np.append(lags, span)
+        )
+    )
+    censored = float(surv[-1])
+    if censored == 1.0:
+        raise CensoredPredictionError(f"no event can occur within {span:.1f}h")
+    return TimePrediction(time=start + float(weights @ surv[:-1]), n_censored=censored)
+
+
 def predict_next_time(
     params: ModelParams,
     user: str,
     history: UserHistory | Sequence[EventRecord],
-    n_samples: int = 100,
-    seed: int | tuple = 0,
+    *,
     horizon_filter: float = 12.0,
     censor_factor: float = 10.0,
-    bound_window: float = 1.0,
 ) -> TimePrediction:
-    """Average first-arrival time (any action) over thinning simulations.
+    """Mean first-arrival time (any action) after the end of the history.
 
-    Each sample restarts the process from the end of the history; samples
-    with no event within ``censor_factor * horizon_filter`` hours contribute
-    that cap.  If every sample is censored there is no usable prediction.
+    Waits are capped at ``span = censor_factor * horizon_filter`` hours, so
+    the mean wait is E[min(X, span)], the integral over [0, span] of the
+    survival curve S(s) = exp(-(Lambda(t_last + s) - Lambda(t_last))) of the
+    process with no further events (time rescaling).  It is computed by
+    quadrature with no random numbers.  ``n_censored`` is the censored mass
+    S(span); when it is 1 no event can occur and there is no prediction.
     """
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be >= 1")
+    span = censor_factor * horizon_filter
+    if not span > 0:
+        raise InvalidInputError("censor_factor * horizon_filter must be positive")
     events = history.events if isinstance(history, UserHistory) else tuple(history)
     times, actions, cats = _prefix_arrays(params.structure, events, math.inf)
-    start = float(times[-1]) if times.size else 0.0
-    span = censor_factor * horizon_filter
-    entropy = seed if isinstance(seed, tuple) else (seed,)
-    alpha_row = params.alpha_row(user)
-
-    total = 0.0
-    censored = 0
-    for i in range(n_samples):
-        rng = _stream_rng(*entropy, i)
-        out_t, _ = _simulate_stream(
-            params,
-            alpha_row,
-            times,
-            actions,
-            cats,
-            start,
-            span,
-            rng,
-            window=bound_window,
-            stop_after=1,
-        )
-        if out_t:
-            total += out_t[0]
-        else:
-            censored += 1
-            total += start + span
-    if censored == n_samples:
-        raise CensoredPredictionError(
-            f"all {n_samples} samples ran {span:.1f}h without an event"
-        )
-    return TimePrediction(time=total / n_samples, n_censored=censored)
+    return _next_time_arrays(params, params.alpha_row(user), times, actions, cats, span)
 
 
 class TipasPredictor:
@@ -133,55 +164,40 @@ class TipasPredictor:
 
     supports_action = True
     supports_time = True
-    parallel_safe = True  # stateless predictions with per-call RNG streams
 
     def __init__(
         self,
         params: ModelParams,
         name: str = "tipas",
-        n_samples: int = 100,
         horizon_filter: float = 12.0,
         censor_factor: float = 10.0,
-        bound_window: float = 1.0,
     ) -> None:
         self.params = params
         self.name = name
-        self.n_samples = n_samples
         self.horizon_filter = horizon_filter
         self.censor_factor = censor_factor
-        self.bound_window = bound_window
 
-    def _cats(self, times: np.ndarray) -> np.ndarray:
-        s = self.params.structure
-        edges = np.asarray(s.tod_edges)
-        return np.clip(
-            np.searchsorted(edges, times % s.day_length, side="right") - 1,
-            0,
-            s.n_categories - 1,
-        ).astype(np.int64)
+    def _arrays(self, times, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        times = np.asarray(times, dtype=float)
+        return (
+            times,
+            np.asarray(actions, dtype=np.int64),
+            tod_categories(self.params.structure, times),
+        )
 
     def predict_action(self, user, times, actions, t) -> int:
-        times = np.asarray(times, dtype=float)
-        actions = np.asarray(actions, dtype=np.int64)
         lam = _intensity_vector_arrays(
-            self.params, self.params.alpha_row(user), times, actions, self._cats(times), t
+            self.params, self.params.alpha_row(user), *self._arrays(times, actions), t
         )
         return int(np.argmax(lam))
 
-    def predict_time(self, user, times, actions, seed=0) -> float:
-        events = tuple(
-            EventRecord(action=int(a), t=float(t)) for t, a in zip(times, actions)
-        )
+    def predict_time(self, user, times, actions) -> float:
         try:
-            pred = predict_next_time(
+            pred = _next_time_arrays(
                 self.params,
-                user,
-                events,
-                n_samples=self.n_samples,
-                seed=seed,
-                horizon_filter=self.horizon_filter,
-                censor_factor=self.censor_factor,
-                bound_window=self.bound_window,
+                self.params.alpha_row(user),
+                *self._arrays(times, actions),
+                self.censor_factor * self.horizon_filter,
             )
         except CensoredPredictionError:
             return math.nan
@@ -191,7 +207,6 @@ class TipasPredictor:
 def make_tipas_factory(
     config: FitConfig,
     name: str = "tipas",
-    n_samples: int = 100,
     horizon_filter: float = 12.0,
     censor_factor: float = 10.0,
 ):
@@ -202,25 +217,11 @@ def make_tipas_factory(
         return TipasPredictor(
             params,
             name=name,
-            n_samples=n_samples,
             horizon_filter=horizon_filter,
             censor_factor=censor_factor,
         )
 
     return factory
-
-
-def _run_time_tasks(model, tasks: list[tuple], n_workers: int) -> list[float]:
-    def run(task):
-        u, times, acts, seed, _, _ = task
-        return model.predict_time(u, times, acts, seed=seed)
-
-    if n_workers > 1 and getattr(model, "parallel_safe", False):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(run, tasks))
-    return [run(task) for task in tasks]
 
 
 def make_windows(start: float, end: float, width: float) -> list[tuple[float, float]]:
@@ -243,8 +244,6 @@ def rolling_window_eval(
     n_actions: int,
     horizon_filter: float = 12.0,
     with_time: bool = True,
-    time_seed: int = 0,
-    n_workers: int = 1,
 ) -> EvalReport:
     """Fit on window k, score window k+1, for every consecutive pair.
 
@@ -258,7 +257,6 @@ def rolling_window_eval(
     day = 24.0
     report = EvalReport(horizon_filter=horizon_filter, n_actions=n_actions)
     user_order = sorted({h.user for h in histories})
-    user_idx = {u: i for i, u in enumerate(user_order)}
     by_user = {h.user: h for h in histories}
 
     all_preds: list[int] = []
@@ -304,7 +302,6 @@ def rolling_window_eval(
         w_errors: list[float] = []
         does_action = getattr(model, "supports_action", False)
         does_time = with_time and getattr(model, "supports_time", False)
-        time_tasks: list[tuple] = []  # (user, times, acts, seed, t_loc, last_t)
 
         for u in user_order:
             test_events = [e for e in by_user[u].events if te_s <= e.t < te_e]
@@ -314,7 +311,7 @@ def rolling_window_eval(
                 w.n_coldstart += 1
             prefix_t = [e.t - shift for e in by_user[u].events if tr_s <= e.t < tr_e]
             prefix_a = [e.action for e in by_user[u].events if tr_s <= e.t < tr_e]
-            for eidx, ev in enumerate(test_events):
+            for ev in test_events:
                 t_loc = ev.t - shift
                 times = np.asarray(prefix_t)
                 acts = np.asarray(prefix_a, dtype=np.int64)
@@ -322,21 +319,14 @@ def rolling_window_eval(
                     w_preds.append(int(model.predict_action(u, times, acts, t_loc)))
                     w_truths.append(ev.action)
                 if does_time and len(prefix_t):
-                    seed = (time_seed, pair_idx, user_idx[u], eidx)
-                    time_tasks.append((u, times, acts, seed, t_loc, prefix_t[-1]))
+                    w.n_time_predictions += 1
+                    pred_t = model.predict_time(u, times, acts)
+                    if pred_t is None or math.isnan(pred_t):
+                        w.n_censored += 1
+                    elif t_loc - prefix_t[-1] <= horizon_filter:
+                        w_errors.append(abs(pred_t - t_loc))
                 prefix_t.append(t_loc)
                 prefix_a.append(ev.action)
-
-        # time predictions run as a second pass so they can fan out over
-        # threads; gathering by task order keeps the report deterministic
-        if time_tasks:
-            w.n_time_predictions = len(time_tasks)
-            results = _run_time_tasks(model, time_tasks, n_workers)
-            for (u, _, _, _, t_loc, last_t), pred_t in zip(time_tasks, results):
-                if pred_t is None or math.isnan(pred_t):
-                    w.n_censored += 1
-                elif t_loc - last_t <= horizon_filter:
-                    w_errors.append(abs(pred_t - t_loc))
 
         if w_preds:
             w.n_predictions = len(w_preds)

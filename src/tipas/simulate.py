@@ -30,6 +30,7 @@ from .model import (
     _intensity_vector_arrays,
     _prefix_arrays,
     clamp_gaps,
+    tod_categories,
     weibull_kernel,
 )
 
@@ -92,7 +93,6 @@ def _bound_arrays(
     actions: np.ndarray,
     cats: np.ndarray,
     t: float,
-    window: float,
 ) -> float:
     bound = float(alpha_row.sum())
     bound += float((params.beta / (params.sigma * _SQRT_2PI)).sum())
@@ -127,7 +127,7 @@ def intensity_upper_bound(
     if window <= 0:
         raise InvalidInputError("window must be positive")
     times, actions, cats = _prefix_arrays(params.structure, history, t)
-    return _bound_arrays(params, params.alpha_row(user), times, actions, cats, t, window)
+    return _bound_arrays(params, params.alpha_row(user), times, actions, cats, t)
 
 
 def _simulate_stream(
@@ -145,7 +145,6 @@ def _simulate_stream(
     stop_after: int | None = None,
 ) -> tuple[list[float], list[int]]:
     s = params.structure
-    edges = np.asarray(s.tod_edges)
     times = np.asarray(seed_times, dtype=np.float64)
     actions = np.asarray(seed_actions, dtype=np.int64)
     cats = np.asarray(seed_cats, dtype=np.int64)
@@ -154,7 +153,7 @@ def _simulate_stream(
     end = start + horizon
     t = start
     while t < end:
-        lam_bar = _bound_arrays(params, alpha_row, times, actions, cats, t, window)
+        lam_bar = _bound_arrays(params, alpha_row, times, actions, cats, t)
         if lam_bar <= 0.0:
             t += window
             continue
@@ -186,8 +185,7 @@ def _simulate_stream(
             out_a.append(a)
             times = np.append(times, t_cand)
             actions = np.append(actions, a)
-            cat = int(np.searchsorted(edges, t_cand % s.day_length, side="right")) - 1
-            cats = np.append(cats, min(max(cat, 0), s.n_categories - 1))
+            cats = np.append(cats, tod_categories(s, t_cand))
             if stop_after is not None and len(out_t) >= stop_after:
                 return out_t, out_a
         t = t_cand

@@ -505,8 +505,6 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                         "25",
                         "--seed",
                         "5",
-                        "--samples",
-                        "20",
                         "--out",
                         str(report),
                     ]

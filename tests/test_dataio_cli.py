@@ -19,7 +19,7 @@ from tipas import (
 )
 from tipas.cli import main
 from tipas.dataio import export_params
-from tipas.model import ModelParams, ModelStructure
+from tipas.model import ModelParams, ModelStructure, zero_params
 
 from conftest import random_params
 
@@ -201,7 +201,7 @@ class TestCli:
         tpred = tmp_path / "tpred.json"
         assert main(
             ["predict-time", "--model", str(model), "--data", str(data),
-             "--samples", "10", "--out", str(tpred)]
+             "--out", str(tpred)]
         ) == 0
 
         sim = tmp_path / "sim.jsonl"
@@ -249,25 +249,17 @@ class TestCli:
         assert main(args + ["--out", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        # TIPAS_THREADS fans time predictions over threads; reports stay
-        # byte-identical because every prediction owns a seeded RNG stream
-        demo, vocab = _small_spec(horizon=1440.0)
-        from tipas.dataio import save_spec
-
-        spec_path = tmp_path / "spec.json"
-        save_spec(demo, vocab, spec_path)
-        data = tmp_path / "data.jsonl"
-        main(["generate", "--spec", str(spec_path), "--out", str(data)])
-        args = ["evaluate", "--data", str(data), "--window-days", "30",
-                "--baselines", "none", "--max-iters", "10", "--mixtures", "1",
-                "--seed", "3", "--samples", "8"]
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        monkeypatch.setenv("TIPAS_THREADS", "1")
-        assert main(args + ["--out", str(r1)]) == 0
-        monkeypatch.setenv("TIPAS_THREADS", "4")
-        assert main(args + ["--out", str(r2)]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
+    def test_predict_time_zero_model_writes_null(self, tmp_path):
+        # no event can ever occur: the prediction is censored, not an error
+        vocab = ("eat", "run")
+        params = zero_params(ModelStructure(n_actions=2, n_mixtures=1), users=("u",))
+        model, data, out = tmp_path / "m.json", tmp_path / "d.jsonl", tmp_path / "t.json"
+        save_model(params, vocab, model)
+        save_histories([UserHistory("u", (EventRecord(0, 1.0),))], vocab, data)
+        assert main(["predict-time", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["predictions"]["u"] == {"hours": None, "censored_probability": 1.0}
 
 
 def _small_spec(horizon: float = 480.0):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from tipas import (
     CensoredPredictionError,
@@ -17,6 +18,7 @@ from tipas import (
     SyntheticSpec,
     UserHistory,
     generate_synthetic,
+    integrated_total_intensity,
     intensity_vector,
     make_windows,
     predict_next_action,
@@ -24,7 +26,9 @@ from tipas import (
     rolling_window_eval,
     zero_params,
 )
+from tipas.model import tod_categories
 from tipas.predict import TipasPredictor
+from tipas.simulate import _simulate_stream
 
 from conftest import random_histories, random_params
 
@@ -112,31 +116,92 @@ class TestPredictNextTime:
     def test_exponential_first_arrival(self):
         p = two_action_params(alpha=[[1.0, 1.0]])  # total rate 2/h
         hist = UserHistory("u", (EventRecord(0, 4.0),))
-        pred = predict_next_time(p, "u", hist, n_samples=1000, seed=3)
-        se = 0.5 / math.sqrt(1000)
-        assert abs(pred.time - 4.5) < 3 * se
-        assert pred.n_censored == 0
+        pred = predict_next_time(p, "u", hist)
+        assert pred.time == pytest.approx(4.5, abs=1e-9)
+        assert pred.n_censored == pytest.approx(math.exp(-2.0 * 120.0))
+
+    def test_preference_only_censored_mass(self):
+        # constant rate r: E[min(X, span)] = (1 - exp(-r span)) / r and the
+        # censored mass is exp(-r span)
+        p = two_action_params(alpha=[[0.005, 0.003]])
+        pred = predict_next_time(p, "u", (EventRecord(1, 30.0),))
+        rate, span = 0.008, 120.0
+        assert pred.n_censored == pytest.approx(math.exp(-rate * span), rel=1e-12)
+        assert pred.time == pytest.approx(30.0 + -math.expm1(-rate * span) / rate, abs=1e-9)
 
     def test_zero_model_censors(self):
         p = zero_params(ModelStructure(n_actions=2, n_mixtures=1), users=("u",))
         with pytest.raises(CensoredPredictionError):
-            predict_next_time(p, "u", UserHistory("u", (EventRecord(0, 1.0),)), n_samples=10)
+            predict_next_time(p, "u", UserHistory("u", (EventRecord(0, 1.0),)))
 
-    def test_deterministic_per_seed(self):
+    def test_repeated_calls_are_equal(self):
         rng = np.random.default_rng(6)
         p = random_params(rng, users=("u1",))
         hist = UserHistory("u1", (EventRecord(0, 3.0), EventRecord(1, 5.0)))
-        a = predict_next_time(p, "u1", hist, n_samples=50, seed=9)
-        b = predict_next_time(p, "u1", hist, n_samples=50, seed=9)
-        assert a == b
+        assert predict_next_time(p, "u1", hist) == predict_next_time(p, "u1", hist)
 
     def test_output_after_last_timestamp(self):
         rng = np.random.default_rng(7)
-        for seed in range(10):
+        for _ in range(10):
             p = random_params(rng, users=("u1",))
             hist = UserHistory("u1", (EventRecord(0, 3.0), EventRecord(1, 8.0)))
-            pred = predict_next_time(p, "u1", hist, n_samples=20, seed=seed)
+            pred = predict_next_time(p, "u1", hist)
             assert pred.time > 8.0
+
+    def test_matches_quadrature_of_integrated_intensity(self):
+        # S(s) = exp(-(Lambda(t_last + s) - Lambda(t_last))) built from the
+        # closed-form compensator and integrated adaptively, split at every
+        # point where it has a kink or a background bump
+        rng = np.random.default_rng(12)
+        span = 120.0
+        for _ in range(8):
+            p = random_params(rng, users=("u1",), kappa_range=(0.4, 3.0))
+            n = int(rng.integers(2, 7))
+            times = np.sort(rng.uniform(10.0, 40.0, n))  # crosses midnight at 24h
+            acts = rng.integers(0, 2, n)
+            hist = UserHistory(
+                "u1", tuple(EventRecord(int(a), float(t)) for t, a in zip(times, acts))
+            )
+            t_last = float(times[-1])
+            base = integrated_total_intensity(p, hist, t_last)
+
+            def survival(s):
+                return math.exp(-(integrated_total_intensity(p, hist, t_last + s) - base))
+
+            day_starts = np.arange(24.0 - t_last % 24.0, span + 24.0, 24.0) - 24.0
+            bumps = (day_starts[:, None] + p.mu.reshape(1, -1)).ravel()
+            points = np.concatenate(([0.25, 1.0, 3.0], day_starts + 24.0, bumps))
+            points = np.unique(points[(points > 0) & (points < span)])
+            want, _ = integrate.quad(
+                survival, 0.0, span, points=points, limit=1000, epsabs=1e-12, epsrel=1e-12
+            )
+            pred = predict_next_time(p, "u1", hist)
+            assert pred.time - t_last == pytest.approx(want, abs=1e-5)
+            assert pred.n_censored == pytest.approx(survival(span), rel=1e-9, abs=1e-300)
+
+    def test_matches_monte_carlo_first_arrival(self):
+        # the thinning simulator is the oracle: on each of two parameter sets
+        # the mean of min(first arrival, span) over 5k draws (10k in all)
+        # lies within three standard errors.  Its dominating rate holds for
+        # every later time, so one bound window covers the whole span.
+        rng = np.random.default_rng(21)
+        span, n_draws = 120.0, 5_000
+        hist = UserHistory("u1", (EventRecord(0, 20.0), EventRecord(1, 23.0)))
+        times, actions = hist.times(), hist.actions()
+        for _ in range(2):
+            p = random_params(rng, users=("u1",), kappa_range=(0.5, 2.5))
+            cats = tod_categories(p.structure, times)
+            draws = np.random.default_rng(5)
+            waits = np.empty(n_draws)
+            for i in range(n_draws):
+                out_t, _ = _simulate_stream(
+                    p, p.alpha_row("u1"), times, actions, cats, 23.0, span, draws,
+                    window=span, stop_after=1,
+                )
+                waits[i] = out_t[0] - 23.0 if out_t else span
+            se = waits.std(ddof=1) / math.sqrt(n_draws)
+            pred = predict_next_time(p, "u1", hist)
+            assert abs(pred.time - 23.0 - waits.mean()) < 3.0 * se
 
 
 class TestRollingWindowEval:
@@ -226,7 +291,7 @@ class TestRollingWindowEval:
             supports_action = False
             supports_time = True
 
-            def predict_time(self, user, times, actions, seed=0):
+            def predict_time(self, user, times, actions):
                 return float(times[-1]) + 1.0
 
         rep = rolling_window_eval(hs, lambda train, T: FixedOffset(), windows,
@@ -244,9 +309,9 @@ class TestRollingWindowEval:
             from dataclasses import replace
 
             params, _ = fit(train, replace(cfg, horizon=T))
-            return TipasPredictor(params, n_samples=10)
+            return TipasPredictor(params)
 
-        rep = rolling_window_eval(hs, factory, windows, n_actions=2, time_seed=1)
+        rep = rolling_window_eval(hs, factory, windows, n_actions=2)
         assert rep.n_predictions > 0
         assert rep.windows[0].n_time_predictions > 0
 
