@@ -63,12 +63,9 @@ def build_panel(
     histories: Sequence[UserHistory],
     structure: ModelStructure,
     T: float,
-    lookback_cap: int | None = None,
 ) -> EventPanel:
     if T <= 0:
         raise InvalidInputError(f"observation horizon must be positive, got {T}")
-    if lookback_cap is not None and lookback_cap < 1:
-        raise InvalidInputError(f"lookback_cap must be >= 1, got {lookback_cap}")
 
     users: list[str] = []
     ev_user, ev_t, ev_a, ev_pos = [], [], [], []
@@ -99,9 +96,6 @@ def build_panel(
         ev_pos.append(np.arange(n, dtype=np.int64))
         if n > 1:
             src_i, dst_i = np.triu_indices(n, k=1)
-            if lookback_cap is not None:
-                keep = (dst_i - src_i) <= lookback_cap
-                src_i, dst_i = src_i[keep], dst_i[keep]
             sp_src.append(src_i + offset)
             sp_dst.append(dst_i + offset)
         offset += n

@@ -70,8 +70,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--tol", type=float, default=1e-6,
                         help="relative log-likelihood stopping tolerance")
         sp.add_argument("--max-iters", type=int, default=500)
-        sp.add_argument("--lookback", type=int, default=None,
-                        help="cap on per-event history lookback (default unlimited)")
 
     sp = sub.add_parser("fit", help="fit a model on a dataset")
     sp.add_argument("--data", required=True)
@@ -143,7 +141,6 @@ def _config_from_args(args, n_actions: int, horizon=None) -> FitConfig:
         max_iterations=args.max_iters,
         rel_ll_tolerance=args.tol,
         rng_seed=args.seed,
-        lookback_cap=args.lookback,
     )
 
 
@@ -280,14 +277,14 @@ def _cmd_evaluate(args) -> int:
     loaded = dataio.load_dataset(args.data, t0=args.t0)
     n_actions = len(loaded.vocabulary)
     max_t = max((h.events[-1].t for h in loaded.histories if len(h)), default=0.0)
-    width = args.window_days * 24.0
+    config = _config_from_args(args, n_actions)
+    width = args.window_days * config.day_length
     span = math.ceil(max_t / width) * width if max_t > 0 else 0.0
     windows = make_windows(0.0, span, width)
     if len(windows) < 2:
         raise InvalidInputError(
             f"data spans {max_t:.1f}h, needs at least two {width:.0f}h windows"
         )
-    config = _config_from_args(args, n_actions)
 
     factories = {
         "tipas-time": make_tipas_factory(

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from ._panel import EventPanel, build_panel
 from .errors import (
@@ -35,10 +34,12 @@ from .errors import (
 from .likelihood import (
     LogLikValue,
     _assemble_loglik,
+    background_mass,
     event_contributions,
-    integrated_total_intensity,
+    log_likelihood,
+    tail_masses,
 )
-from .model import ModelParams, ModelStructure, UserHistory, intensity_vector
+from .model import ModelParams, ModelStructure, UserHistory
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +64,6 @@ class FitConfig:
     param_floor: float = 1e-8
     sigma_floor: float = 0.05
     rng_seed: int = 0
-    lookback_cap: int | None = None
     include_background: bool = True
     include_short: bool = True
     include_long: bool = True
@@ -156,9 +156,9 @@ def _e_step_panel(
 # ---------------------------------------------------------------------------
 
 
-def _erf_day_sum(mu: np.ndarray, sigma: np.ndarray, day_length: float) -> np.ndarray:
-    s = _SQRT2 * sigma
-    return erf(mu / s) + erf((day_length - mu) / s)
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den > 0``, zero elsewhere."""
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
 def m_step_closed(
@@ -169,13 +169,15 @@ def m_step_closed(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form updates for alpha, beta, theta, phi.
 
+    Each is its responsibility mass over the compensator mass it scales:
+    ``T`` per user for alpha, the exact background mass over [0, T] for
+    beta and the tail masses of :func:`tail_masses` for theta and phi.
     Cells with no responsibility mass (or an empty denominator) are set to
     ``param_floor``, which keeps the next E step strictly interior.
     """
     panel = resp.panel
     s = params.structure
     A, Z, C, U = s.n_actions, s.n_mixtures, s.n_categories, panel.n_users
-    n = panel.n_events
 
     alpha = (
         np.bincount(panel.ev_user * A + panel.ev_a, weights=resp.p0, minlength=U * A)
@@ -185,27 +187,20 @@ def m_step_closed(
 
     bg_num = np.zeros((A, Z))
     np.add.at(bg_num, panel.ev_a, resp.pz)
-    day_sum = _erf_day_sum(params.mu, params.sigma, s.day_length)
-    beta = (2.0 * s.day_length / (U * T)) * bg_num / day_sum if n else np.zeros((A, Z))
+    beta = _ratio(bg_num, U * background_mass(params.mu, params.sigma, T, s.day_length))
 
+    q_den, r_den = tail_masses(params, panel.ev_tail, panel.ev_a, panel.ev_cat)
     q_num = np.bincount(
         panel.sp_a_src * A + panel.sp_a_dst, weights=resp.q, minlength=A * A
     ).reshape(A, A)
-    q_den = np.zeros((A, A))
-    for a_src in range(A):
-        tails = panel.ev_tail[panel.ev_a == a_src]
-        if tails.size:
-            q_den[a_src] = (-np.expm1(-np.outer(tails, params.omega[a_src]))).sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        theta = np.where(q_den > 0, q_num / np.where(q_den > 0, q_den, 1.0), 0.0)
+    theta = _ratio(q_num, q_den)
     if np.any((q_den <= 0) & (q_num > 0)):
         logger.warning("theta update saw responsibility mass with empty denominator")
 
     r_num = np.bincount(
         panel.lp_c_src * A + panel.lp_a, weights=resp.r, minlength=C * A
     ).reshape(C, A)
-    r_den = _phi_denominator(params, panel)
-    phi = np.where(r_den > 0, r_num / np.where(r_den > 0, r_den, 1.0), 0.0)
+    phi = _ratio(r_num, r_den)
 
     floor = param_floor
     return (
@@ -214,18 +209,6 @@ def m_step_closed(
         np.maximum(theta, floor),
         np.maximum(phi, floor),
     )
-
-
-def _phi_denominator(params: ModelParams, panel: EventPanel) -> np.ndarray:
-    s = params.structure
-    A, C = s.n_actions, s.n_categories
-    ga = params.gamma[panel.ev_cat, panel.ev_a]
-    ka = params.kappa[panel.ev_cat, panel.ev_a]
-    with np.errstate(over="ignore"):
-        vals = -np.expm1(-ga * panel.ev_tail**ka)
-    return np.bincount(
-        panel.ev_cat * A + panel.ev_a, weights=vals, minlength=C * A
-    ).reshape(C, A)
 
 
 def m_step_rate(
@@ -288,13 +271,29 @@ def m_step_rate(
 # ---------------------------------------------------------------------------
 
 
+def _erf_derivatives(x: float, mu: float, sigma: float) -> tuple[float, ...]:
+    """First and second derivatives of ``erf((x - mu) / (sqrt(2) sigma))``:
+    d/dmu, d/dsigma, d2/dmu2, d2/dmu dsigma, d2/dsigma2."""
+    w = (x - mu) / (_SQRT2 * sigma)
+    e = _C1 * math.exp(-w * w)
+    s2 = sigma * sigma
+    return (
+        -e / (_SQRT2 * sigma),
+        -w * e / sigma,
+        -w * e / s2,
+        -e * (2.0 * w * w - 1.0) / (_SQRT2 * s2),
+        2.0 * w * (1.0 - w * w) * e / s2,
+    )
+
+
 @dataclass(frozen=True)
 class GaussianSlice:
     """Bound slice for one (action, mixture) pair as a function of (mu, sigma).
 
     ``sw``, ``swl``, ``swll`` are the 0th/1st/2nd responsibility-weighted
-    moments of the event hours-of-day; ``kz`` multiplies the truncated day
-    mass in the compensator.
+    moments of the event hours-of-day; ``kz`` (users times beta) multiplies
+    the component's :func:`background_mass` over [0, horizon] in the
+    compensator.
     """
 
     sw: float
@@ -302,43 +301,37 @@ class GaussianSlice:
     swll: float
     kz: float
     day_length: float
+    horizon: float
 
-    def _uv(self, mu: float, sigma: float) -> tuple[float, float]:
-        return mu / (_SQRT2 * sigma), (self.day_length - mu) / (_SQRT2 * sigma)
+    def _mass_derivatives(self, mu: float, sigma: float) -> list[float]:
+        # background_mass is (full_days (erf at day_length - erf at 0)
+        # + (erf at rem - erf at 0)) / 2 with erf at x = erf((x - mu) / (sqrt(2) sigma))
+        full_days, rem = divmod(self.horizon, self.day_length)
+        at_zero = _erf_derivatives(0.0, mu, sigma)
+        at_day = _erf_derivatives(self.day_length, mu, sigma)
+        at_rem = _erf_derivatives(rem, mu, sigma)
+        return [
+            (full_days * (d - z) + (r - z)) / 2.0 for z, d, r in zip(at_zero, at_day, at_rem)
+        ]
 
     def value(self, mu: float, sigma: float) -> float:
         s2 = self.swll - 2.0 * mu * self.swl + mu * mu * self.sw
-        u, v = self._uv(mu, sigma)
-        return (
-            -self.sw * math.log(sigma)
-            - s2 / (2.0 * sigma * sigma)
-            - self.kz * (erf(u) + erf(v))
-        )
+        mass = float(background_mass(mu, sigma, self.horizon, self.day_length))
+        return -self.sw * math.log(sigma) - s2 / (2.0 * sigma * sigma) - self.kz * mass
 
     def grad(self, mu: float, sigma: float) -> np.ndarray:
-        u, v = self._uv(mu, sigma)
-        eu, ev = math.exp(-u * u), math.exp(-v * v)
         s2 = self.swll - 2.0 * mu * self.swl + mu * mu * self.sw
-        g_mu = (self.swl - mu * self.sw) / sigma**2 - self.kz * (
-            _C1 / (_SQRT2 * sigma) * (eu - ev)
-        )
-        g_sigma = -self.sw / sigma + s2 / sigma**3 + self.kz * (
-            _C1 / sigma * (u * eu + v * ev)
-        )
+        d = self._mass_derivatives(mu, sigma)
+        g_mu = (self.swl - mu * self.sw) / sigma**2 - self.kz * d[0]
+        g_sigma = -self.sw / sigma + s2 / sigma**3 - self.kz * d[1]
         return np.array([g_mu, g_sigma])
 
     def hess(self, mu: float, sigma: float) -> np.ndarray:
-        u, v = self._uv(mu, sigma)
-        eu, ev = math.exp(-u * u), math.exp(-v * v)
         s2 = self.swll - 2.0 * mu * self.swl + mu * mu * self.sw
-        e_mm = -_C1 / sigma**2 * (u * eu + v * ev)
-        e_ms = _SQRT2 / (math.sqrt(math.pi) * sigma**2) * (
-            eu * (2 * u * u - 1) - ev * (2 * v * v - 1)
-        )
-        e_ss = 2.0 * _C1 / sigma**2 * (u * (1 - u * u) * eu + v * (1 - v * v) * ev)
-        h_mm = -self.sw / sigma**2 - self.kz * e_mm
-        h_ms = -2.0 * (self.swl - mu * self.sw) / sigma**3 - self.kz * e_ms
-        h_ss = self.sw / sigma**2 - 3.0 * s2 / sigma**4 - self.kz * e_ss
+        d = self._mass_derivatives(mu, sigma)
+        h_mm = -self.sw / sigma**2 - self.kz * d[2]
+        h_ms = -2.0 * (self.swl - mu * self.sw) / sigma**3 - self.kz * d[3]
+        h_ss = self.sw / sigma**2 - 3.0 * s2 / sigma**4 - self.kz * d[4]
         return np.array([[h_mm, h_ms], [h_ms, h_ss]])
 
 
@@ -406,7 +399,7 @@ def gaussian_slices(
     np.add.at(sw, panel.ev_a, resp.pz)
     np.add.at(swl, panel.ev_a, resp.pz * panel.ev_tod[:, None])
     np.add.at(swll, panel.ev_a, resp.pz * panel.ev_tod[:, None] ** 2)
-    kz = panel.n_users * (T / s.day_length) * params.beta / 2.0
+    kz = panel.n_users * params.beta
     out = {}
     for a in range(A):
         for z in range(Z):
@@ -417,6 +410,7 @@ def gaussian_slices(
                     swll=float(swll[a, z]),
                     kz=float(kz[a, z]),
                     day_length=s.day_length,
+                    horizon=T,
                 )
     return out
 
@@ -688,7 +682,7 @@ def fit(
         day_length=cfg.day_length,
         horizon=horizon,
     )
-    panel = build_panel(histories, structure, horizon, cfg.lookback_cap)
+    panel = build_panel(histories, structure, horizon)
 
     rng = np.random.default_rng(cfg.rng_seed)
     params = _init_params(panel, structure, cfg, rng)
@@ -745,18 +739,16 @@ def holdout_loglik(
     t_to: float,
 ) -> float:
     """Log-likelihood of the events in (t_from, t_to], conditioning each on
-    the full earlier history (train and holdout alike)."""
-    total = 0.0
-    for hist in histories:
-        events = hist.events
-        for n, ev in enumerate(events):
-            if t_from < ev.t <= t_to:
-                lam = intensity_vector(params, hist.user, events[:n], ev.t)
-                total += math.log(max(float(lam[ev.action]), 1e-300))
-        total -= integrated_total_intensity(params, hist, t_to) - (
-            integrated_total_intensity(params, hist, t_from)
-        )
-    return total
+    the full earlier history (train and holdout alike).
+
+    That is the log-likelihood on [0, t_to] minus the one on [0, t_from].
+    """
+
+    def loglik_upto(t: float) -> float:
+        cut = [UserHistory(h.user, tuple(e for e in h.events if e.t <= t)) for h in histories]
+        return log_likelihood(params, cut, t).total
+
+    return loglik_upto(t_to) - loglik_upto(t_from)
 
 
 def select_n_mixtures(

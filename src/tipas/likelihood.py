@@ -4,11 +4,18 @@ The log-likelihood of histories observed on [0, T] is
 
     sum_events log lam_u(t_n, a_n)  -  sum_u int_0^T sum_a lam_u(t, a) dt
 
-The integral (compensator) has a closed form: the preference part is
-``T * sum alpha``, each Gaussian mixture component contributes its truncated
-day mass ``beta/2 * (erf(mu / (sqrt(2) sigma)) + erf((D - mu) / (sqrt(2) sigma)))``
-once per user-day, and each event leaves partially-integrated kernel tails
-``theta * (1 - exp(-omega (T - t)))`` and ``phi * (1 - exp(-gamma (T - t)^kappa))``.
+The integral (compensator) has a closed form at any horizon:
+
+    T sum alpha  +  U sum beta * mass  +  sum theta * Q  +  sum phi * R
+
+``background_mass`` gives ``mass``, the integral of each unit-weight
+Gaussian component over [0, T]: its truncated day mass
+``(erf(mu / (sqrt(2) sigma)) + erf((D - mu) / (sqrt(2) sigma))) / 2`` once
+per whole day plus its truncated mass up to the time of day at which T ends.
+``tail_masses`` gives ``Q`` and ``R``, the partially-integrated kernel tails
+``1 - exp(-omega (T - t))`` and ``1 - exp(-gamma (T - t)^kappa)`` summed per
+parameter cell.  The EM M step reads the same two functions, so the fit
+maximizes exactly the objective reported here.
 
 ``quadrature_compensator`` recomputes the same integral numerically and is
 kept deliberately independent of the closed form so the two can be used as
@@ -98,33 +105,66 @@ def event_contributions(
     return a0, bg, q_raw, r_raw, lam
 
 
-def day_mass(beta: np.ndarray, mu: np.ndarray, sigma: np.ndarray, day_length: float) -> np.ndarray:
-    """Integral of each background component over one day, elementwise."""
+def background_mass(mu, sigma, upto, day_length: float) -> np.ndarray:
+    """Integral over [0, upto] of each unit-weight background component.
+
+    Broadcasts over ``mu``, ``sigma`` and ``upto``.  Whole days contribute
+    their truncated day mass and the partial day its truncated-Gaussian mass
+    up to the remaining time of day; that second term is exactly zero when
+    ``upto`` is a whole number of days.
+    """
+    full_days, rem = upto // day_length, upto % day_length
     s = math.sqrt(2.0) * sigma
-    return beta / 2.0 * (erf(mu / s) + erf((day_length - mu) / s))
+    below = erf(mu / s)
+    whole = full_days * (below + erf((day_length - mu) / s))
+    return (whole + (below + erf((rem - mu) / s))) / 2.0
+
+
+def tail_masses(
+    params: ModelParams, tails: np.ndarray, actions: np.ndarray, cats: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel tails integrated over the ``tails`` hours left after each event.
+
+    Returns ``Q`` (A, A) with ``Q[a', a]`` the sum over events of action a'
+    of ``1 - exp(-omega[a', a] s)``, and ``R`` (C, A) with ``R[c, a]`` the
+    sum over events of action a in category c of
+    ``1 - exp(-gamma[c, a] s^kappa[c, a])``.  Their share of the compensator
+    is ``sum(theta * Q) + sum(phi * R)``.
+    """
+    n_act = params.structure.n_actions
+    q = np.bincount(
+        (actions[:, None] * n_act + np.arange(n_act)).reshape(-1),
+        weights=-np.expm1(-params.omega[actions] * tails[:, None]).reshape(-1),
+        minlength=n_act * n_act,
+    ).reshape(n_act, n_act)
+    with np.errstate(over="ignore"):
+        powered = tails ** params.kappa[cats, actions]
+    r = np.bincount(
+        cats * n_act + actions,
+        weights=-np.expm1(-params.gamma[cats, actions] * powered),
+        minlength=params.structure.n_categories * n_act,
+    ).reshape(-1, n_act)
+    return q, r
+
+
+def _background_total(params: ModelParams, upto) -> np.ndarray:
+    """Integral of the summed background rate over [0, upto], elementwise."""
+    upto = np.asarray(upto, dtype=np.float64)[..., None, None]
+    mass = background_mass(params.mu, params.sigma, upto, params.structure.day_length)
+    return (params.beta * mass).sum(axis=(-2, -1))
+
+
+def _kernel_total(
+    params: ModelParams, tails: np.ndarray, actions: np.ndarray, cats: np.ndarray
+) -> float:
+    q, r = tail_masses(params, tails, actions, cats)
+    return float((params.theta * q).sum() + (params.phi * r).sum())
 
 
 def compensator_from_panel(params: ModelParams, panel: EventPanel) -> float:
-    s = params.structure
-    alpha_panel = _alpha_matrix(params, panel)
-    total = panel.T * float(alpha_panel.sum())
-    total += (
-        panel.n_users
-        * (panel.T / s.day_length)
-        * float(day_mass(params.beta, params.mu, params.sigma, s.day_length).sum())
-    )
-    if panel.n_events:
-        tail = panel.ev_tail[:, None]
-        th = params.theta[panel.ev_a]
-        om = params.omega[panel.ev_a]
-        total += float((th * -np.expm1(-om * tail)).sum())
-        ph = params.phi[panel.ev_cat, panel.ev_a]
-        ga = params.gamma[panel.ev_cat, panel.ev_a]
-        ka = params.kappa[panel.ev_cat, panel.ev_a]
-        with np.errstate(over="ignore"):
-            powered = panel.ev_tail**ka
-        total += float((ph * -np.expm1(-ga * powered)).sum())
-    return total
+    total = panel.T * float(_alpha_matrix(params, panel).sum())
+    total += panel.n_users * float(_background_total(params, panel.T))
+    return total + _kernel_total(params, panel.ev_tail, panel.ev_a, panel.ev_cat)
 
 
 def log_likelihood(
@@ -187,12 +227,7 @@ def _assemble_loglik(
 def analytic_compensator(
     params: ModelParams, histories: Sequence[UserHistory], T: float
 ) -> float:
-    """Closed-form integral of the total intensity over [0, T], all users.
-
-    The background term counts ``T / day_length`` day masses; it is exact
-    whenever T is a whole number of days and a proportional approximation
-    otherwise.
-    """
+    """Closed-form integral of the total intensity over [0, T], all users."""
     panel = build_panel(histories, params.structure, T)
     return compensator_from_panel(params, panel)
 
@@ -258,52 +293,19 @@ def quadrature_compensator(
     return total
 
 
-def background_mass(params: ModelParams, upto) -> np.ndarray:
-    """Exact integral of the summed background rate over [0, upto], elementwise.
-
-    Whole days contribute their truncated day mass and the partial day its
-    truncated-Gaussian mass up to the remaining time of day.
-    """
-    s = params.structure
-    upto = np.asarray(upto, dtype=np.float64)[..., None, None]
-    full_days, rem = np.divmod(upto, s.day_length)
-    sq = math.sqrt(2.0) * params.sigma
-    full_mass = day_mass(params.beta, params.mu, params.sigma, s.day_length)
-    partial = params.beta / 2.0 * (erf((rem - params.mu) / sq) + erf(params.mu / sq))
-    return (full_days * full_mass + partial).sum(axis=(-2, -1))
-
-
 def integrated_total_intensity(
     params: ModelParams, history: UserHistory, upto: float
 ) -> float:
-    """Exact integral of the user's total intensity over [0, upto].
-
-    Unlike :func:`analytic_compensator` this handles fractional days exactly
-    (the partial day contributes its true truncated-Gaussian mass), which is
-    what goodness-of-fit transforms need.
-    """
+    """Exact integral of the user's total intensity over [0, upto]."""
     if upto < 0 or not math.isfinite(upto):
         raise InvalidInputError(f"upto must be finite and >= 0, got {upto}")
     total = upto * float(params.alpha_row(history.user).sum())
-    total += float(background_mass(params, upto))
-
+    total += float(_background_total(params, upto))
     times = history.times()
-    actions = history.actions()
     k = int(np.searchsorted(times, upto, side="left"))
-    if k:
-        times, actions = times[:k], actions[:k]
-        cats = tod_categories(params.structure, times)
-        tail = (upto - times)[:, None]
-        th = params.theta[actions]
-        om = params.omega[actions]
-        total += float((th * -np.expm1(-om * tail)).sum())
-        ph = params.phi[cats, actions]
-        ga = params.gamma[cats, actions]
-        ka = params.kappa[cats, actions]
-        with np.errstate(over="ignore"):
-            powered = (upto - times) ** ka
-        total += float((ph * -np.expm1(-ga * powered)).sum())
-    return total
+    times, actions = times[:k], history.actions()[:k]
+    cats = tod_categories(params.structure, times)
+    return total + _kernel_total(params, upto - times, actions, cats)
 
 
 def compensator_increments(
@@ -323,7 +325,7 @@ def compensator_increments(
     a' of exp(-omega[a', a] (start - t))``, so they cost O(n A + lags A^2).
     """
     lags = np.asarray(lags, dtype=np.float64)
-    bg = background_mass(params, np.concatenate(([start], start + lags)))
+    bg = _background_total(params, np.concatenate(([start], start + lags)))
     out = lags * float(alpha_row.sum()) + (bg[1:] - bg[0])
     if times.size:
         d = start - times

@@ -1,6 +1,7 @@
 """E-step attributions, M-step updates, and the outer EM loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,21 @@ from tipas import (
     e_step,
     fit,
     generate_synthetic,
+    integrated_total_intensity,
+    intensity_vector,
+    log_likelihood,
     m_step_closed,
     m_step_newton,
     m_step_rate,
+    quadrature_compensator,
 )
-from tipas.inference import GaussianSlice, gaussian_slices, select_n_mixtures, shape_slices
+from tipas.inference import (
+    GaussianSlice,
+    gaussian_slices,
+    holdout_loglik,
+    select_n_mixtures,
+    shape_slices,
+)
 
 from conftest import random_histories, random_params
 
@@ -44,6 +55,28 @@ def build_params(n_actions=1, n_mixtures=1, horizon=100.0, users=("u",), **over)
     for key, val in over.items():
         base[key] = np.asarray(val, dtype=float).reshape(base[key].shape)
     return ModelParams(structure=s, users=users, **base)
+
+
+def trace_truth():
+    return build_params(
+        n_actions=2,
+        horizon=240.0,
+        users=("t",),
+        alpha=[[0.03, 0.03]],
+        beta=[[0.3], [0.3]],
+        mu=[[9.0], [15.0]],
+        sigma=[[1.5], [2.0]],
+        theta=[[0.1, 0.2], [0.1, 0.1]],
+        omega=[[2.0, 2.0], [2.0, 2.0]],
+        phi=[[0.2, 0.2]] * 4,
+        gamma=[[0.2, 0.2]] * 4,
+    )
+
+
+def exact_loglik(params, histories, T):
+    """Event term minus the per-user integrated intensity."""
+    comp = sum(integrated_total_intensity(params, h, T) for h in histories)
+    return log_likelihood(params, histories, T).event_term - comp
 
 
 class TestEStep:
@@ -148,38 +181,59 @@ class TestMStepRate:
 
 class TestMStepNewton:
     def test_gradients_match_finite_differences(self):
+        # at the current iterate the Gaussian slice touches the exact
+        # log-likelihood, so its gradient is also that of the event term
+        # minus the integrated intensity, at whole-day and fractional horizons
         rng = np.random.default_rng(42)
-        checked = 0
-        while checked < 25:
-            p = random_params(rng, users=("u1", "u2"))
-            hs = random_histories(rng, n_users=2, max_events=15)
-            if sum(len(h) for h in hs) == 0:
-                continue
-            resp = e_step(p, hs)
-            T = p.structure.horizon
-            for (a, z), sl in gaussian_slices(resp, p, T).items():
-                mu, sg = float(p.mu[a, z]), float(p.sigma[a, z])
-                g = sl.grad(mu, sg)
-                h = 1e-5
-                fd = np.array(
-                    [
-                        (sl.value(mu + h, sg) - sl.value(mu - h, sg)) / (2 * h),
-                        (sl.value(mu, sg + h) - sl.value(mu, sg - h)) / (2 * h),
-                    ]
-                )
-                np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-7)
-            for (c, a), sl in shape_slices(resp, p, T).items():
-                k = float(p.kappa[c, a])
-                g = sl.grad(k)
-                h = 1e-6
-                fd = (sl.value(k + h) - sl.value(k - h)) / (2 * h)
-                assert abs(g - fd) / max(1.0, abs(fd)) < 1e-4
-            checked += 1
+        for T in (48.0, 45.5):
+            checked = 0
+            while checked < 25:
+                p = random_params(rng, users=("u1", "u2"), horizon=T)
+                hs = random_histories(rng, n_users=2, max_events=15, horizon=T)
+                if sum(len(h) for h in hs) == 0:
+                    continue
+                resp = e_step(p, hs)
+                for (a, z), sl in gaussian_slices(resp, p, T).items():
+                    mu, sg = float(p.mu[a, z]), float(p.sigma[a, z])
+                    g = sl.grad(mu, sg)
+                    h = 1e-5
+                    fd = np.array(
+                        [
+                            (sl.value(mu + h, sg) - sl.value(mu - h, sg)) / (2 * h),
+                            (sl.value(mu, sg + h) - sl.value(mu, sg - h)) / (2 * h),
+                        ]
+                    )
+                    np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-7)
+                    fd_hess = np.column_stack(
+                        [
+                            (sl.grad(mu + h, sg) - sl.grad(mu - h, sg)) / (2 * h),
+                            (sl.grad(mu, sg + h) - sl.grad(mu, sg - h)) / (2 * h),
+                        ]
+                    )
+                    np.testing.assert_allclose(sl.hess(mu, sg), fd_hess, rtol=1e-4, atol=1e-6)
+                    exact = []
+                    for name, x in (("mu", mu), ("sigma", sg)):
+                        side = []
+                        for step in (h, -h):
+                            moved = np.array(getattr(p, name))
+                            moved[a, z] = x + step
+                            side.append(exact_loglik(replace(p, **{name: moved}), hs, T))
+                        exact.append((side[0] - side[1]) / (2 * h))
+                    np.testing.assert_allclose(g, exact, rtol=1e-4, atol=1e-6)
+                for (c, a), sl in shape_slices(resp, p, T).items():
+                    k = float(p.kappa[c, a])
+                    g = sl.grad(k)
+                    h = 1e-6
+                    fd = (sl.value(k + h) - sl.value(k - h)) / (2 * h)
+                    assert abs(g - fd) / max(1.0, abs(fd)) < 1e-4
+                checked += 1
 
     def test_mu_converges_to_weighted_mean(self):
         # negligible compensator weight: the slice optimum is the weighted
         # mean of the event hours (10) with their spread as sigma
-        sl = GaussianSlice(sw=2.0, swl=20.0, swll=200.02, kz=1e-12, day_length=24.0)
+        sl = GaussianSlice(
+            sw=2.0, swl=20.0, swll=200.02, kz=1e-12, day_length=24.0, horizon=48.0
+        )
         p = build_params(beta=1e-12, mu=9.0, sigma=1.0, alpha=1e-6, horizon=48.0)
         h = [UserHistory("u", (EventRecord(0, 9.9), EventRecord(0, 10.1)))]
         resp = e_step(p, h)
@@ -210,24 +264,27 @@ class TestFit:
         assert params.alpha[0, 0] == pytest.approx(400 / 720.0, rel=0.02)
 
     def test_trace_is_monotone(self):
-        truth = build_params(
-            n_actions=2,
-            horizon=240.0,
-            users=("t",),
-            alpha=[[0.03, 0.03]],
-            beta=[[0.3], [0.3]],
-            mu=[[9.0], [15.0]],
-            sigma=[[1.5], [2.0]],
-            theta=[[0.1, 0.2], [0.1, 0.1]],
-            omega=[[2.0, 2.0], [2.0, 2.0]],
-            phi=[[0.2, 0.2]] * 4,
-            gamma=[[0.2, 0.2]] * 4,
+        hs = generate_synthetic(
+            SyntheticSpec(n_users=6, params=trace_truth(), horizon=240.0, seed=4)
         )
-        hs = generate_synthetic(SyntheticSpec(n_users=6, params=truth, horizon=240.0, seed=4))
         _, report = fit(hs, FitConfig(n_mixtures=2, rng_seed=1, max_iterations=60, horizon=240.0))
         totals = [v.total for v in report.ll_trace]
         for prev, nxt in zip(totals, totals[1:]):
             assert nxt >= prev - 1e-8 * abs(prev)
+
+    def test_fractional_horizon_trace_is_exact(self):
+        # a horizon that ends mid-day: the traced log-likelihood of the fitted
+        # model must be its exact one, with the compensator from quadrature
+        hs = generate_synthetic(
+            SyntheticSpec(n_users=6, params=trace_truth(), horizon=240.0, seed=4)
+        )
+        hs = [UserHistory(h.user, tuple(e for e in h.events if e.t <= 36.0)) for h in hs]
+        params, report = fit(
+            hs, FitConfig(n_mixtures=2, rng_seed=1, max_iterations=60, horizon=36.0)
+        )
+        last = report.ll_trace[-1]
+        exact = last.event_term - quadrature_compensator(params, hs, 36.0, n_panels=200)
+        assert last.total == pytest.approx(exact, rel=1e-6)
 
     def test_seed_determinism_bitwise(self):
         rng = np.random.default_rng(8)
@@ -251,23 +308,6 @@ class TestFit:
         assert report.converged
         assert report.iterations_run < 500
         assert report.ll_trace[-1].total >= report.ll_trace[0].total
-
-    def test_lookback_cap_limits_pairs(self):
-        hs = [
-            UserHistory(
-                "u", tuple(EventRecord(i % 2, 1.0 + i * 1.5) for i in range(30))
-            )
-        ]
-        from tipas._panel import build_panel
-
-        s = ModelStructure(n_actions=2, n_mixtures=1, horizon=48.0)
-        full = build_panel(hs, s, 48.0)
-        capped = build_panel(hs, s, 48.0, lookback_cap=3)
-        assert capped.sp_src.size < full.sp_src.size
-        assert np.all(capped.sp_dst - capped.sp_src <= 3)
-        # the fit accepts the cap end to end
-        cfg = FitConfig(n_mixtures=1, rng_seed=0, max_iterations=5, lookback_cap=3, horizon=48.0)
-        fit(hs, cfg)
 
     def test_degenerate_event_error_names_offender(self):
         from tipas import DegenerateEventError, zero_params
@@ -337,6 +377,26 @@ class TestMixtureSelection:
         cfg = FitConfig(rng_seed=0, max_iterations=40, horizon=480.0)
         z = select_n_mixtures(hs, cfg, grid=(1, 2))
         assert z in (1, 2)
+
+    def test_holdout_matches_event_loop(self):
+        rng = np.random.default_rng(31)
+        p = random_params(rng, users=("u1", "u2", "u3"), horizon=96.0)
+        hs = random_histories(rng, n_users=3, max_events=40, horizon=96.0)
+        t_to = 90.25
+        for t_from in (48.0, 50.5):
+            # each held-out event scored on its full earlier history
+            expected = 0.0
+            for hist in hs:
+                events = hist.events
+                for n, ev in enumerate(events):
+                    if t_from < ev.t <= t_to:
+                        lam = intensity_vector(p, hist.user, events[:n], ev.t)
+                        expected += math.log(max(float(lam[ev.action]), 1e-300))
+                expected -= integrated_total_intensity(p, hist, t_to) - (
+                    integrated_total_intensity(p, hist, t_from)
+                )
+            got = holdout_loglik(p, hs, t_from, t_to)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
