@@ -67,50 +67,35 @@ def build_panel(
     if T <= 0:
         raise InvalidInputError(f"observation horizon must be positive, got {T}")
 
-    users: list[str] = []
-    ev_user, ev_t, ev_a, ev_pos = [], [], [], []
-    sp_src, sp_dst = [], []
-    offset = 0
+    users = tuple(h.user for h in histories)
+    seen: set[str] = set()
     for hist in histories:
-        if hist.user in users:
+        if hist.user in seen:
             raise InvalidInputError(f"duplicate history for user {hist.user!r}")
-        uid = len(users)
-        users.append(hist.user)
-        n = len(hist.events)
-        if n == 0:
-            continue
-        t = hist.times()
-        a = hist.actions()
-        if t[-1] > T:
+        seen.add(hist.user)
+        t, a = hist.times(), hist.actions()
+        if t.size and t[-1] > T:
             raise InvalidInputError(
                 f"user {hist.user!r} has an event at t={t[-1]} beyond T={T}"
             )
-        if a.max() >= structure.n_actions:
+        if a.size and a.max() >= structure.n_actions:
             raise InvalidInputError(
                 f"user {hist.user!r} uses action {a.max()} but the model has "
                 f"{structure.n_actions} actions"
             )
-        ev_user.append(np.full(n, uid, dtype=np.int64))
-        ev_t.append(t)
-        ev_a.append(a)
-        ev_pos.append(np.arange(n, dtype=np.int64))
-        if n > 1:
-            src_i, dst_i = np.triu_indices(n, k=1)
-            sp_src.append(src_i + offset)
-            sp_dst.append(dst_i + offset)
-        offset += n
 
-    def cat_int(parts, dtype=np.int64):
-        if parts:
-            return np.ascontiguousarray(np.concatenate(parts), dtype=dtype)
-        return np.empty(0, dtype=dtype)
+    def joined(parts, dtype=np.int64):
+        return np.concatenate([np.empty(0, dtype=dtype), *parts])
 
-    ev_user_arr = cat_int(ev_user)
-    ev_t_arr = cat_int(ev_t, np.float64)
-    ev_a_arr = cat_int(ev_a)
-    ev_pos_arr = cat_int(ev_pos)
-    sp_src_arr = cat_int(sp_src)
-    sp_dst_arr = cat_int(sp_dst)
+    lengths = np.array([len(h) for h in histories], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    ev_t_arr = joined((h.times() for h in histories), np.float64)
+    ev_a_arr = joined(h.actions() for h in histories)
+    ev_user_arr = np.repeat(np.arange(len(histories), dtype=np.int64), lengths)
+    ev_pos_arr = np.arange(ev_t_arr.size, dtype=np.int64) - starts[ev_user_arr]
+    pairs = [np.triu_indices(n, k=1) for n in lengths.tolist()]
+    sp_src_arr = joined(src + s for (src, _), s in zip(pairs, starts.tolist()))
+    sp_dst_arr = joined(dst + s for (_, dst), s in zip(pairs, starts.tolist()))
 
     ev_tod = ev_t_arr % structure.day_length
     ev_cat = tod_categories(structure, ev_tod)
@@ -144,4 +129,4 @@ def build_panel(
     )
     for arr in arrays.values():
         arr.flags.writeable = False
-    return EventPanel(structure=structure, T=float(T), users=tuple(users), **arrays)
+    return EventPanel(structure=structure, T=float(T), users=users, **arrays)

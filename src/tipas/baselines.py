@@ -85,7 +85,7 @@ class MarkovModel:
         self.n_actions = n_actions
         self.counts = [dict() for _ in range(self.order + 1)]
         for h in histories:
-            acts = [int(a) for a in h.actions()]
+            acts = h.actions().tolist()
             for i, nxt in enumerate(acts):
                 for o in range(min(i, self.order) + 1):
                     ctx = tuple(acts[i - o : i])
@@ -104,9 +104,9 @@ class MarkovModel:
         return (row + 1.0) / (row.sum() + self.n_actions)
 
     def predict_action(self, user, times, actions, t) -> int:
-        acts = [int(a) for a in actions]
-        for o in range(min(self.order, len(acts)), -1, -1):
-            row = self.counts[o].get(tuple(acts[len(acts) - o :]))
+        recent = [int(a) for a in actions[-self.order :]]
+        for o in range(len(recent), -1, -1):
+            row = self.counts[o].get(tuple(recent[len(recent) - o :]))
             if row is not None:
                 return int(np.argmax(row))
         return 0

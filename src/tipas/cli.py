@@ -191,7 +191,7 @@ def _cmd_predict(args) -> int:
     params, vocab, histories = _load_model_and_data(args)
     out = {}
     for h in histories:
-        prefix = tuple(e for e in h.events if e.t < args.at)
+        prefix = h.until(args.at, inclusive=False)
         pred = predict_next_action(
             params, PredictionTask(user=h.user, history_prefix=prefix, t=args.at)
         )
@@ -274,9 +274,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if not args.window_days.is_integer():
+        raise InvalidInputError(
+            f"--window-days must be a whole number of days, got {args.window_days}: "
+            "windows starting mid-day would shift the time-of-day patterns"
+        )
     loaded = dataio.load_dataset(args.data, t0=args.t0)
     n_actions = len(loaded.vocabulary)
-    max_t = max((h.events[-1].t for h in loaded.histories if len(h)), default=0.0)
+    max_t = max((float(h.times()[-1]) for h in loaded.histories if len(h)), default=0.0)
     config = _config_from_args(args, n_actions)
     width = args.window_days * config.day_length
     span = math.ceil(max_t / width) * width if max_t > 0 else 0.0

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedVersionError,
     VocabularyError,
 )
-from .model import EventRecord, ModelParams, ModelStructure, UserHistory
+from .model import ModelParams, ModelStructure, UserHistory
 from .simulate import SyntheticSpec
 
 logger = logging.getLogger(__name__)
@@ -147,14 +147,10 @@ def load_dataset(
     if isinstance(t0, str):
         t0 = datetime.fromisoformat(t0)
     per_user: dict[str, list[tuple[float, str, int]]] = {}
-    order: list[str] = []
     n_records = 0
     for line_no, user, action, t in _iter_records(path, t0):
         n_records += 1
-        if user not in per_user:
-            per_user[user] = []
-            order.append(user)
-        per_user[user].append((t, action, line_no))
+        per_user.setdefault(user, []).append((t, action, line_no))
 
     if vocabulary is None:
         vocab = tuple(sorted({a for recs in per_user.values() for _, a, _ in recs}))
@@ -164,19 +160,19 @@ def load_dataset(
 
     histories = []
     n_reordered = 0
-    for user in order:
-        recs = per_user[user]
-        if any(b[0] < a[0] for a, b in zip(recs, recs[1:])):
+    for user, recs in per_user.items():
+        times, names, lines = zip(*recs)
+        t = np.asarray(times, dtype=np.float64)
+        if np.any(t[1:] < t[:-1]):
             n_reordered += 1
-            recs = sorted(recs, key=lambda r: r[0])
-        events = []
-        for t, action, line_no in recs:
-            if action not in index:
-                raise VocabularyError(
-                    f"line {line_no}: action {action!r} not in model vocabulary"
-                )
-            events.append(EventRecord(action=index[action], t=t))
-        histories.append(UserHistory(user=user, events=tuple(events)))
+        order = np.argsort(t, kind="stable")
+        codes = np.array([index.get(a, -1) for a in names], dtype=np.int64)[order]
+        if np.any(codes < 0):
+            bad = int(order[np.argmax(codes < 0)])
+            raise VocabularyError(
+                f"line {lines[bad]}: action {names[bad]!r} not in model vocabulary"
+            )
+        histories.append(UserHistory.from_arrays(user, t[order], codes))
     if n_reordered:
         logger.warning("re-sorted events for %d user(s)", n_reordered)
     return LoadResult(
@@ -193,11 +189,10 @@ def save_histories(
     """Write histories as JSON Lines with action names from the vocabulary."""
     buf = io.StringIO()
     for h in histories:
-        for e in h.events:
+        for t, a in zip(h.times().tolist(), h.actions().tolist()):
             buf.write(
                 json.dumps(
-                    {"user": h.user, "action": vocabulary[e.action], "t": e.t},
-                    sort_keys=True,
+                    {"user": h.user, "action": vocabulary[a], "t": t}, sort_keys=True
                 )
             )
             buf.write("\n")

@@ -665,8 +665,8 @@ def fit(
     n_events_in = sum(len(h) for h in histories)
     if n_events_in == 0:
         raise InvalidInputError("cannot fit on empty data")
-    max_t = max(h.events[-1].t for h in histories if len(h))
-    max_a = max(e.action for h in histories for e in h.events)
+    max_t = max(float(h.times()[-1]) for h in histories if len(h))
+    max_a = max(int(h.actions().max()) for h in histories if len(h))
     n_actions = cfg.n_actions if cfg.n_actions is not None else max_a + 1
     if max_a >= n_actions:
         raise InvalidInputError(
@@ -745,8 +745,7 @@ def holdout_loglik(
     """
 
     def loglik_upto(t: float) -> float:
-        cut = [UserHistory(h.user, tuple(e for e in h.events if e.t <= t)) for h in histories]
-        return log_likelihood(params, cut, t).total
+        return log_likelihood(params, [h.until(t) for h in histories], t).total
 
     return loglik_upto(t_to) - loglik_upto(t_from)
 
@@ -759,7 +758,7 @@ def select_n_mixtures(
 ) -> int:
     """Pick the mixture count whose fit scores best on a held-out time slice."""
     cfg = config or FitConfig()
-    max_t = max((h.events[-1].t for h in histories if len(h)), default=0.0)
+    max_t = max((float(h.times()[-1]) for h in histories if len(h)), default=0.0)
     if max_t <= 0:
         raise InvalidInputError("cannot select mixtures on empty data")
     horizon = cfg.horizon
@@ -767,10 +766,7 @@ def select_n_mixtures(
         horizon = max(1.0, math.ceil(max_t / cfg.day_length)) * cfg.day_length
     day = cfg.day_length
     t_split = max(day, math.floor(horizon * (1.0 - val_fraction) / day) * day)
-    train = [
-        UserHistory(h.user, tuple(e for e in h.events if e.t <= t_split))
-        for h in histories
-    ]
+    train = [h.until(t_split) for h in histories]
     if sum(len(h) for h in train) == 0:
         raise InvalidInputError("validation split leaves no training events")
 

@@ -301,11 +301,9 @@ def integrated_total_intensity(
         raise InvalidInputError(f"upto must be finite and >= 0, got {upto}")
     total = upto * float(params.alpha_row(history.user).sum())
     total += float(_background_total(params, upto))
-    times = history.times()
-    k = int(np.searchsorted(times, upto, side="left"))
-    times, actions = times[:k], history.actions()[:k]
-    cats = tod_categories(params.structure, times)
-    return total + _kernel_total(params, upto - times, actions, cats)
+    before = history.until(upto, inclusive=False)
+    cats = tod_categories(params.structure, before.times())
+    return total + _kernel_total(params, upto - before.times(), before.actions(), cats)
 
 
 def compensator_increments(
@@ -355,11 +353,5 @@ def rescaled_interarrivals(params: ModelParams, history: UserHistory) -> np.ndar
     Under the generating model these are i.i.d. Exp(1) (time-rescaling), so
     they feed straight into a Kolmogorov-Smirnov goodness-of-fit test.
     """
-    times = history.times()
-    out = np.empty(times.size)
-    prev = 0.0
-    for i, t in enumerate(times):
-        cur = integrated_total_intensity(params, history, float(t))
-        out[i] = cur - prev
-        prev = cur
-    return out
+    at = [integrated_total_intensity(params, history, t) for t in history.times().tolist()]
+    return np.diff(at, prepend=0.0)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -56,34 +57,75 @@ class EventRecord:
             raise InvalidInputError(f"event time must be >= 0, got {t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class UserHistory:
-    """A user's chronologically sorted event sequence.
+    """A user's chronologically sorted events as two read-only arrays.
 
-    Ties are allowed and keep their input order.
+    ``UserHistory(user, events)`` converts EventRecords once and
+    ``UserHistory.from_arrays(user, times, actions)`` takes the arrays.  Both
+    require times sorted, finite and >= 0 and actions >= 0, and keep a copy
+    of the input.  Ties are allowed and keep their input order.
     """
 
     user: str
-    events: tuple[EventRecord, ...]
+    _times: np.ndarray = field(repr=False)
+    _actions: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
-        for prev, nxt in zip(events, events[1:]):
-            if nxt.t < prev.t:
-                raise InvalidInputError(
-                    f"history for user {self.user!r} is not sorted by time "
-                    f"({prev.t} followed by {nxt.t})"
-                )
+    def __init__(self, user: str, events: Iterable[EventRecord]) -> None:
+        events = tuple(events)
+        self._store(user, [e.t for e in events], [e.action for e in events])
+
+    @classmethod
+    def from_arrays(cls, user: str, times, actions) -> UserHistory:
+        history = cls.__new__(cls)
+        history._store(user, times, actions)
+        return history
+
+    def _store(self, user: str, times, actions) -> None:
+        times, actions = np.array(times, np.float64), np.array(actions, np.int64)
+        if times.ndim != 1 or times.shape != actions.shape:
+            raise InvalidInputError(
+                f"history for user {user!r} needs 1-D times and actions of one length"
+            )
+        if not np.all(np.isfinite(times) & (times >= 0)) or np.any(actions < 0):
+            raise InvalidInputError(
+                f"history for user {user!r} needs finite times >= 0 and actions >= 0"
+            )
+        drops = np.flatnonzero(times[1:] < times[:-1])
+        if drops.size:
+            raise InvalidInputError(
+                f"history for user {user!r} is not sorted by time "
+                f"({times[drops[0]]} followed by {times[drops[0] + 1]})"
+            )
+        times.flags.writeable = actions.flags.writeable = False
+        object.__setattr__(self, "user", user)
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_actions", actions)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._times)
 
     def times(self) -> np.ndarray:
-        return np.array([e.t for e in self.events], dtype=np.float64)
+        """Event times in hours: the stored read-only array, not a copy."""
+        return self._times
 
     def actions(self) -> np.ndarray:
-        return np.array([e.action for e in self.events], dtype=np.int64)
+        """Action ids: the stored read-only array, not a copy."""
+        return self._actions
+
+    @cached_property
+    def events(self) -> tuple[EventRecord, ...]:
+        """The events as EventRecords, built on first access."""
+        return tuple(map(EventRecord, self._actions.tolist(), self._times.tolist()))
+
+    def until(self, t: float, *, inclusive: bool = True) -> UserHistory:
+        """The events at or before ``t`` (before ``t`` unless ``inclusive``)."""
+        k = int(np.searchsorted(self._times, t, side="right" if inclusive else "left"))
+        return UserHistory.from_arrays(self.user, self._times[:k], self._actions[:k])
+
+
+# A history prefix: a UserHistory, or EventRecords in time order.
+HistoryPrefix = Union[UserHistory, Iterable[EventRecord]]
 
 
 @dataclass(frozen=True)
@@ -311,27 +353,24 @@ def _intensity_vector_arrays(
 
 
 def _prefix_arrays(
-    structure: ModelStructure, prefix: Iterable[EventRecord], t: float
+    structure: ModelStructure, prefix: HistoryPrefix, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    times, actions = [], []
-    last = -math.inf
-    for ev in prefix:
-        if ev.t < last:
-            raise InvalidInputError("history prefix is not sorted by time")
-        if ev.t > t:
+    """Times, actions and time-of-day categories of a prefix that ends at or
+    before ``t``.  A UserHistory is read without copying; records are
+    converted (and checked) by its constructor."""
+    if not isinstance(prefix, UserHistory):
+        prefix = UserHistory("", prefix)
+    times, actions = prefix.times(), prefix.actions()
+    if times.size:
+        if times[-1] > t:
             raise InvalidInputError(
-                f"prefix event at t={ev.t} lies after evaluation time t={t}"
+                f"prefix event at t={times[-1]} lies after evaluation time t={t}"
             )
-        if ev.action >= structure.n_actions:
+        if actions.max() >= structure.n_actions:
             raise InvalidInputError(
-                f"action {ev.action} out of range for {structure.n_actions} actions"
+                f"action {actions.max()} out of range for {structure.n_actions} actions"
             )
-        last = ev.t
-        times.append(ev.t)
-        actions.append(ev.action)
-    times_arr = np.asarray(times, dtype=np.float64)
-    actions_arr = np.asarray(actions, dtype=np.int64)
-    return times_arr, actions_arr, tod_categories(structure, times_arr)
+    return times, actions, tod_categories(structure, times)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +385,7 @@ def background_intensity(params: ModelParams, a: int, t: float) -> float:
 
 
 def short_term_intensity(
-    params: ModelParams, history_prefix: Iterable[EventRecord], a: int, t: float
+    params: ModelParams, history_prefix: HistoryPrefix, a: int, t: float
 ) -> float:
     """Cross-excitation rate at ``t`` from all earlier events.
 
@@ -363,7 +402,7 @@ def short_term_intensity(
 
 
 def long_term_intensity(
-    params: ModelParams, history_prefix: Iterable[EventRecord], a: int, t: float
+    params: ModelParams, history_prefix: HistoryPrefix, a: int, t: float
 ) -> float:
     """Periodic-recurrence rate at ``t`` from earlier events of the same action.
 
@@ -384,7 +423,7 @@ def long_term_intensity(
 def total_intensity(
     params: ModelParams,
     user: str,
-    history_prefix: Iterable[EventRecord],
+    history_prefix: HistoryPrefix,
     a: int,
     t: float,
 ) -> float:
@@ -396,7 +435,7 @@ def total_intensity(
 
 
 def intensity_vector(
-    params: ModelParams, user: str, history_prefix: Iterable[EventRecord], t: float
+    params: ModelParams, user: str, history_prefix: HistoryPrefix, t: float
 ) -> np.ndarray:
     """Conditional intensity of every action at time ``t``, shape (A,)."""
     times, actions, cats = _prefix_arrays(params.structure, history_prefix, t)

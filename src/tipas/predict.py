@@ -21,7 +21,7 @@ from .metrics import (
 )
 from .likelihood import compensator_increments
 from .model import (
-    EventRecord,
+    HistoryPrefix,
     ModelParams,
     UserHistory,
     _intensity_vector_arrays,
@@ -34,15 +34,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PredictionTask:
-    """One next-action query: the prefix plus the known query time."""
+    """One next-action query: the prefix (EventRecords are converted to a
+    UserHistory) plus the known query time."""
 
     user: str
-    history_prefix: tuple[EventRecord, ...]
+    history_prefix: UserHistory
     t: float
     horizon_filter: float = 12.0
 
     def __post_init__(self) -> None:
-        if any(e.t > self.t for e in self.history_prefix):
+        if not isinstance(self.history_prefix, UserHistory):
+            prefix = UserHistory(self.user, self.history_prefix)
+            object.__setattr__(self, "history_prefix", prefix)
+        if len(self.history_prefix) and self.history_prefix.times()[-1] > self.t:
             raise InvalidInputError("prefix events must precede the query time")
 
 
@@ -137,7 +141,7 @@ def _next_time_arrays(
 def predict_next_time(
     params: ModelParams,
     user: str,
-    history: UserHistory | Sequence[EventRecord],
+    history: HistoryPrefix,
     *,
     horizon_filter: float = 12.0,
     censor_factor: float = 10.0,
@@ -154,13 +158,13 @@ def predict_next_time(
     span = censor_factor * horizon_filter
     if not span > 0:
         raise InvalidInputError("censor_factor * horizon_filter must be positive")
-    events = history.events if isinstance(history, UserHistory) else tuple(history)
-    times, actions, cats = _prefix_arrays(params.structure, events, math.inf)
+    times, actions, cats = _prefix_arrays(params.structure, history, math.inf)
     return _next_time_arrays(params, params.alpha_row(user), times, actions, cats, span)
 
 
 class TipasPredictor:
-    """Fitted model wrapped in the evaluation-driver interface."""
+    """Fitted model wrapped in the evaluation-driver interface; prefixes
+    arrive as time and action arrays."""
 
     supports_action = True
     supports_time = True
@@ -177,27 +181,19 @@ class TipasPredictor:
         self.horizon_filter = horizon_filter
         self.censor_factor = censor_factor
 
-    def _arrays(self, times, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        times = np.asarray(times, dtype=float)
-        return (
-            times,
-            np.asarray(actions, dtype=np.int64),
-            tod_categories(self.params.structure, times),
-        )
-
     def predict_action(self, user, times, actions, t) -> int:
+        cats = tod_categories(self.params.structure, times)
         lam = _intensity_vector_arrays(
-            self.params, self.params.alpha_row(user), *self._arrays(times, actions), t
+            self.params, self.params.alpha_row(user), times, actions, cats, t
         )
         return int(np.argmax(lam))
 
     def predict_time(self, user, times, actions) -> float:
+        cats = tod_categories(self.params.structure, times)
+        span = self.censor_factor * self.horizon_filter
         try:
             pred = _next_time_arrays(
-                self.params,
-                self.params.alpha_row(user),
-                *self._arrays(times, actions),
-                self.censor_factor * self.horizon_filter,
+                self.params, self.params.alpha_row(user), times, actions, cats, span
             )
         except CensoredPredictionError:
             return math.nan
@@ -256,8 +252,7 @@ def rolling_window_eval(
         raise InvalidInputError("need at least two windows")
     day = 24.0
     report = EvalReport(horizon_filter=horizon_filter, n_actions=n_actions)
-    user_order = sorted({h.user for h in histories})
-    by_user = {h.user: h for h in histories}
+    by_user = {h.user: h for h in sorted(histories, key=lambda h: h.user)}
 
     all_preds: list[int] = []
     all_truths: list[int] = []
@@ -271,21 +266,18 @@ def rolling_window_eval(
                 "window start %.3f is not a day boundary; time-of-day patterns shift",
                 tr_s,
             )
-        shift = tr_s
-        train = []
-        train_users = set()
-        for u in user_order:
-            evs = tuple(
-                EventRecord(e.action, e.t - shift)
-                for e in by_user[u].events
-                if tr_s <= e.t < tr_e
-            )
-            if evs:
-                train.append(UserHistory(u, evs))
-                train_users.add(u)
-        n_test = sum(
-            1 for h in histories for e in h.events if te_s <= e.t < te_e
-        )
+        # per user: the training events, then the test events, on a clock
+        # that starts with the training window; and the training count
+        cut = {}
+        for u, h in by_user.items():
+            times, acts = h.times(), h.actions()
+            tr_lo, tr_hi, te_lo, te_hi = np.searchsorted(times, (tr_s, tr_e, te_s, te_e))
+            keep = np.r_[tr_lo:tr_hi, te_lo:te_hi]
+            cut[u] = (times[keep] - tr_s, acts[keep], int(tr_hi - tr_lo))
+        train = [
+            UserHistory.from_arrays(u, t[:n], a[:n]) for u, (t, a, n) in cut.items() if n
+        ]
+        n_test = sum(t.size - n for t, _, n in cut.values())
         if not train or not n_test:
             logger.warning(
                 "skipping window pair %d: %d training users, %d test events",
@@ -303,30 +295,24 @@ def rolling_window_eval(
         does_action = getattr(model, "supports_action", False)
         does_time = with_time and getattr(model, "supports_time", False)
 
-        for u in user_order:
-            test_events = [e for e in by_user[u].events if te_s <= e.t < te_e]
-            if not test_events:
+        for u, (times, acts, n_train) in cut.items():
+            if times.size == n_train:
                 continue
-            if u not in train_users:
+            if not n_train:
                 w.n_coldstart += 1
-            prefix_t = [e.t - shift for e in by_user[u].events if tr_s <= e.t < tr_e]
-            prefix_a = [e.action for e in by_user[u].events if tr_s <= e.t < tr_e]
-            for ev in test_events:
-                t_loc = ev.t - shift
-                times = np.asarray(prefix_t)
-                acts = np.asarray(prefix_a, dtype=np.int64)
+            # each test event's prefix is a view of everything before it
+            for k in range(n_train, times.size):
+                t_loc = float(times[k])
                 if does_action:
-                    w_preds.append(int(model.predict_action(u, times, acts, t_loc)))
-                    w_truths.append(ev.action)
-                if does_time and len(prefix_t):
+                    w_preds.append(int(model.predict_action(u, times[:k], acts[:k], t_loc)))
+                    w_truths.append(int(acts[k]))
+                if does_time and k:
                     w.n_time_predictions += 1
-                    pred_t = model.predict_time(u, times, acts)
+                    pred_t = model.predict_time(u, times[:k], acts[:k])
                     if pred_t is None or math.isnan(pred_t):
                         w.n_censored += 1
-                    elif t_loc - prefix_t[-1] <= horizon_filter:
+                    elif t_loc - times[k - 1] <= horizon_filter:
                         w_errors.append(abs(pred_t - t_loc))
-                prefix_t.append(t_loc)
-                prefix_a.append(ev.action)
 
         if w_preds:
             w.n_predictions = len(w_preds)

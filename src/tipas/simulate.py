@@ -1,12 +1,12 @@
 """Exact sampling of the process by thinning, plus synthetic-data generation.
 
-A dominating rate valid over a short look-ahead window is rebuilt after
-every candidate: the preference and background parts use global peaks, the
-exponential part its (decreasing) current value, and each Weibull term its
-current value or its mode peak when the mode still lies ahead.  Candidates
-arrive at the dominating rate and are accepted with probability
-``lam(t) / lam_bar``; accepted candidates pick their action proportionally
-to the per-action intensities.
+A dominating rate, valid until the next event, is rebuilt after every
+candidate and every ``bound_window`` hours without one: the preference and
+background parts use global peaks, the exponential part its (decreasing)
+current value, and each Weibull term its current value or its mode peak
+when the mode still lies ahead.  Candidates arrive at the dominating rate
+and are accepted with probability ``lam(t) / lam_bar``; accepted candidates
+pick their action proportionally to the per-action intensities.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
 from .model import (
     TIE_EPSILON,
     EventRecord,
+    HistoryPrefix,
     ModelParams,
     UserHistory,
     _intensity_vector_arrays,
@@ -39,7 +40,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls; ``bound_window`` is the dominating-rate horizon."""
+    """Simulation controls.  The dominating rate holds until the next event;
+    ``bound_window`` (hours) only sets how often it is rebuilt while no
+    candidate arrives, which changes the draws but not their distribution."""
 
     horizon: float
     seed: int = 0
@@ -119,11 +122,15 @@ def _bound_arrays(
 def intensity_upper_bound(
     params: ModelParams,
     user: str,
-    history: Sequence[EventRecord],
+    history: HistoryPrefix,
     t: float,
     window: float,
 ) -> float:
-    """A rate dominating the total intensity everywhere in [t, t + window]."""
+    """A rate dominating the total intensity from ``t`` until the next event.
+
+    ``window`` is checked to be positive and otherwise unused: the bound
+    holds over any window that ends before the next event.
+    """
     if window <= 0:
         raise InvalidInputError("window must be positive")
     times, actions, cats = _prefix_arrays(params.structure, history, t)
@@ -133,9 +140,9 @@ def intensity_upper_bound(
 def _simulate_stream(
     params: ModelParams,
     alpha_row: np.ndarray,
-    seed_times: np.ndarray,
-    seed_actions: np.ndarray,
-    seed_cats: np.ndarray,
+    times: np.ndarray,
+    actions: np.ndarray,
+    cats: np.ndarray,
     start: float,
     horizon: float,
     rng: np.random.Generator,
@@ -145,9 +152,6 @@ def _simulate_stream(
     stop_after: int | None = None,
 ) -> tuple[list[float], list[int]]:
     s = params.structure
-    times = np.asarray(seed_times, dtype=np.float64)
-    actions = np.asarray(seed_actions, dtype=np.int64)
-    cats = np.asarray(seed_cats, dtype=np.int64)
     out_t: list[float] = []
     out_a: list[int] = []
     end = start + horizon
@@ -195,14 +199,12 @@ def _simulate_stream(
 def simulate(
     params: ModelParams,
     user: str,
-    seed_history: UserHistory,
+    seed_history: HistoryPrefix,
     config: SimConfig,
 ) -> list[EventRecord]:
     """Draw events on (t_last, t_last + horizon] given ``seed_history``."""
-    start = seed_history.events[-1].t if len(seed_history) else 0.0
-    times, actions, cats = _prefix_arrays(
-        params.structure, seed_history.events, math.inf
-    )
+    times, actions, cats = _prefix_arrays(params.structure, seed_history, math.inf)
+    start = float(times[-1]) if times.size else 0.0
     rng = _stream_rng(config.seed)
     out_t, out_a = _simulate_stream(
         params,
@@ -274,10 +276,5 @@ def generate_synthetic(spec: SyntheticSpec) -> list[UserHistory]:
         out_t, out_a = _simulate_stream(
             params, alpha_row, empty, empty_i, empty_i, 0.0, spec.horizon, rng
         )
-        histories.append(
-            UserHistory(
-                user=user,
-                events=tuple(EventRecord(action=a, t=t) for t, a in zip(out_t, out_a)),
-            )
-        )
+        histories.append(UserHistory.from_arrays(user, out_t, out_a))
     return histories

@@ -39,6 +39,18 @@ class TestLoadDataset:
         assert [e.t for e in res.histories[0].events] == [1.0, 2.0, 3.0]
         assert res.n_reordered_users == 1
 
+    def test_resorting_keeps_tie_order(self, tmp_path):
+        # enough ties that an unstable sort would reorder them
+        names = [f"a{i:02d}" for i in range(40)][::-1]
+        lines = [{"user": "u", "action": "late", "t": 2.0}]
+        lines += [{"user": "u", "action": n, "t": 1.0} for n in names]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        res = load_dataset(path)
+        assert res.n_reordered_users == 1
+        assert res.histories[0].times().tolist() == [1.0] * 40 + [2.0]
+        assert [res.vocabulary[a] for a in res.histories[0].actions()] == names + ["late"]
+
     def test_csv_variant(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("user,action,t\nu1,run,1.5\nu2,eat,0.5\n")
@@ -162,6 +174,19 @@ class TestCli:
              "--out", str(tmp_path / "r.json")]
         )
         assert code == 2
+
+    def test_evaluate_rejects_fractional_window_days(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        events = (EventRecord(0, 1.0), EventRecord(0, 40.0), EventRecord(0, 80.0))
+        save_histories([UserHistory("u", events)], ("a",), data)
+        report = tmp_path / "r.json"
+        code = main(
+            ["evaluate", "--data", str(data), "--window-days", "1.5", "--no-time",
+             "--baselines", "copy", "--max-iters", "2", "--out", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert "would shift the time-of-day patterns" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.jsonl"), "--out", "m.json"]) == 2

@@ -1,6 +1,7 @@
 """Intensity components against hand-computed values and their invariants."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -273,6 +274,65 @@ class TestDomainTypes:
     def test_history_keeps_ties(self):
         h = UserHistory("u", (EventRecord(0, 1.0), EventRecord(1, 1.0)))
         assert [e.action for e in h.events] == [0, 1]
+        h = UserHistory.from_arrays("u", [1.0, 1.0, 1.0], [2, 0, 1])
+        assert h.actions().tolist() == [2, 0, 1]
+
+    def test_records_and_arrays_store_equal_arrays(self):
+        records = (EventRecord(1, 0.5), EventRecord(0, 2.0), EventRecord(2, 2.0))
+        a = UserHistory("u", records)
+        b = UserHistory.from_arrays("u", np.array([0.5, 2.0, 2.0]), [1, 0, 2])
+        for h in (a, b):
+            assert h.times().dtype == np.float64 and h.actions().dtype == np.int64
+            assert len(h) == 3
+        np.testing.assert_array_equal(a.times(), b.times())
+        np.testing.assert_array_equal(a.actions(), b.actions())
+
+    @pytest.mark.parametrize(
+        "times, actions",
+        [
+            ([2.0, 1.0], [0, 0]),
+            ([-1.0, 1.0], [0, 0]),
+            ([math.nan, 1.0], [0, 0]),
+            ([0.0, math.inf], [0, 0]),
+            ([0.0, 1.0], [0, -1]),
+        ],
+    )
+    def test_both_constructors_reject_bad_events(self, times, actions):
+        with pytest.raises(InvalidInputError):
+            UserHistory.from_arrays("u", times, actions)
+        # stand-ins, because EventRecord itself rejects most of these values
+        records = [SimpleNamespace(t=t, action=a) for t, a in zip(times, actions)]
+        with pytest.raises(InvalidInputError):
+            UserHistory("u", records)
+
+    def test_from_arrays_rejects_mismatched_arrays(self):
+        with pytest.raises(InvalidInputError):
+            UserHistory.from_arrays("u", [1.0, 2.0], [0])
+        with pytest.raises(InvalidInputError):
+            UserHistory.from_arrays("u", [[1.0, 2.0]], [[0, 0]])
+
+    def test_stored_arrays_are_read_only(self):
+        times, actions = np.array([1.0, 2.0]), np.array([0, 1])
+        h = UserHistory.from_arrays("u", times, actions)
+        times[0], actions[0] = 5.0, 3
+        assert h.times().tolist() == [1.0, 2.0] and h.actions().tolist() == [0, 1]
+        assert h.times() is h.times() and h.actions() is h.actions()
+        for arr in (h.times(), h.actions()):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_events_round_trip(self):
+        records = (EventRecord(0, 1.0), EventRecord(2, 1.5), EventRecord(1, 7.25))
+        h = UserHistory("u", records)
+        assert h.events == records
+        assert h.events is h.events
+        assert UserHistory.from_arrays("u", h.times(), h.actions()).events == records
+
+    def test_until_cuts_at_time(self):
+        h = UserHistory.from_arrays("u", [1.0, 2.0, 2.0, 3.0], [0, 1, 2, 0])
+        assert h.until(2.0).actions().tolist() == [0, 1, 2]
+        assert h.until(2.0, inclusive=False).actions().tolist() == [0]
+        assert len(h.until(0.5)) == 0 and h.until(9.0).user == "u"
 
     def test_structure_rejects_bad_windows(self):
         with pytest.raises(InvalidInputError):
