@@ -228,19 +228,7 @@ def _cmd_simulate(args) -> int:
             raise InvalidInputError(
                 f"model has {n_model_users} users, cannot simulate {n_users}"
             )
-        params = ModelParams(
-            structure=params.structure,
-            users=params.users[:n_users],
-            alpha=params.alpha[:n_users],
-            beta=params.beta,
-            mu=params.mu,
-            sigma=params.sigma,
-            theta=params.theta,
-            omega=params.omega,
-            phi=params.phi,
-            gamma=params.gamma,
-            kappa=params.kappa,
-        )
+        params = replace(params, users=params.users[:n_users], alpha=params.alpha[:n_users])
     spec = SyntheticSpec(
         n_users=n_users, params=params, horizon=args.horizon, seed=args.seed
     )

@@ -1,17 +1,21 @@
-"""EM/MM parameter fitting.
+"""EM parameter fitting.
 
 Each iteration attributes every observed event to the additive intensity
-sources that could have produced it (E step), then maximizes the resulting
-Jensen lower bound (M step):
+sources that could have produced it (E step), then raises the resulting
+Jensen lower bound (M step).  Given the attributions the bound splits into
+one term per parameter cell:
 
-* ``alpha``, ``beta``, ``theta``, ``phi`` have closed-form updates;
-* ``omega`` and ``gamma`` appear inside kernel tails, so their closed forms
-  come from a further tangent lower bound anchored at the current iterate;
-* ``kappa`` and the Gaussian ``mu``/``sigma`` are ascended by a damped,
-  backtracking Newton step on their slice of the bound.
+* ``alpha`` has a closed-form maximizer;
+* every other cell pairs a linear weight (``beta``, ``theta``, ``phi``) with
+  shape parameters (``mu``/``sigma``, ``omega``, the Weibull scale and
+  ``kappa``).  The weight has a closed form for any shape, so it is profiled
+  out, and the shapes of all cells of a block take one Newton step together
+  on their profiled bound.  A cell keeps its step only if its bound does
+  not fall; otherwise it halves the step and in the end keeps its value.
+* The weights are then set in closed form at the new shapes.
 
-All updates within one M step read the current (k-th) iterates of every
-other parameter and are applied together.  The reported per-iteration
+Every iteration therefore raises the bound and with it the exact
+log-likelihood (a generalized EM step).  The reported per-iteration
 log-likelihood is the exact one, not the bound.
 """
 
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import xlogy
 
 from ._panel import EventPanel, build_panel
 from .errors import (
@@ -59,8 +64,6 @@ class FitConfig:
     horizon: float | None = None  # rounded up to whole days when None
     max_iterations: int = 500
     rel_ll_tolerance: float = 1e-6
-    newton_max_steps: int = 8
-    newton_max_inner: int = 50
     param_floor: float = 1e-8
     sigma_floor: float = 0.05
     rng_seed: int = 0
@@ -81,7 +84,11 @@ class FitConfig:
 
 @dataclass
 class FitReport:
-    """Per-iteration log-likelihood trace and convergence bookkeeping."""
+    """Per-iteration log-likelihood trace and convergence bookkeeping.
+
+    ``newton_fallbacks`` counts, over all iterations, the cells whose
+    M-step Newton step found no ascent and kept their values.
+    """
 
     ll_trace: list[LogLikValue]
     iterations_run: int
@@ -211,309 +218,291 @@ def m_step_closed(
     )
 
 
-def m_step_rate(
-    resp: Responsibilities, params: ModelParams, T: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent-bound ratio updates for the decay rates omega and gamma.
+# ---------------------------------------------------------------------------
+# shape blocks: one guarded Newton step on each cell's profiled bound
+# ---------------------------------------------------------------------------
 
-    Cells without responsibility mass (or with an unusable denominator) keep
-    their previous value.
+# Halvings of a Newton step before a cell gives up and keeps its value.
+BACKTRACK_HALVINGS = 30
+# |log omega| and |kappa * log(Weibull scale)| stay below this, so omega and
+# gamma remain normal doubles; exponents are clipped to it for the same reason.
+EXP_LIMIT = 700.0
+
+
+def _direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Newton step where the Hessian is negative definite, else a scaled
+    gradient step; per cell."""
+    d = grad.shape[1]
+    neg_def = np.linalg.eigvalsh(hess).max(axis=1) < 0
+    newton = np.linalg.solve(
+        np.where(neg_def[:, None, None], hess, -np.eye(d)), -grad[..., None]
+    )[..., 0]
+    scaled = grad / (np.abs(hess).max(axis=(1, 2)) + 1.0)[:, None]
+    return np.where(neg_def[:, None], newton, scaled)
+
+
+def _ascend(objective, x0: np.ndarray, active: np.ndarray, project):
+    """One ascent-guarded Newton step for every active cell at once.
+
+    ``objective(x)`` returns the value (n,) of every cell's objective at
+    ``x`` (n, d); ``objective(x, derivatives=True)`` also returns its
+    gradient (n, d) and Hessian (n, d, d).  Coordinates that ``project``
+    holds at a bound drop out of the step.  Each cell halves its step until
+    ``project(x0 + step * direction)`` does not lower its value.  Returns the
+    new points, a mask of the cells that moved, and the number of active
+    cells that gave up.
+    """
+    x = x0.copy()
+    moved = np.zeros(x0.shape[0], dtype=bool)
+    if not active.any():
+        return x, moved, 0
+    f0, grad, hess = objective(x0, derivatives=True)
+    ok = (
+        active
+        & np.isfinite(f0)
+        & np.isfinite(grad).all(axis=1)
+        & np.isfinite(hess).all(axis=(1, 2))
+    )
+    identity = np.eye(x0.shape[1])
+    grad = np.where(ok[:, None], grad, 0.0)
+    hess = np.where(ok[:, None, None], hess, -identity)
+    direction = _direction(grad, hess)
+    free = (project(x0 + direction) != x0) | (direction == 0)
+    if not free.all():
+        both = free[:, :, None] & free[:, None, :]
+        direction = _direction(grad * free, np.where(both, hess, -identity))
+    pending = ok & np.isfinite(direction).all(axis=1) & (direction != 0).any(axis=1)
+    direction = np.where(pending[:, None], direction, 0.0)
+    gave_up = int((active & ~ok).sum())
+    step = 1.0
+    for _ in range(BACKTRACK_HALVINGS):
+        if not pending.any():
+            break
+        trial = np.where(pending[:, None], project(x0 + step * direction), x0)
+        value = objective(trial)
+        up = pending & np.isfinite(value) & (value >= f0 - 1e-12 * np.abs(f0))
+        x[up] = trial[up]
+        moved |= up
+        pending &= ~up
+        step *= 0.5
+    return x, moved, gave_up + int(pending.sum())
+
+
+def exponential_objective(resp: Responsibilities, params: ModelParams):
+    """Profiled EM bound of the exponential kernel, per (a', a) cell.
+
+    With ``theta = sum q / Q(omega)`` profiled out, the bound of a cell is
+    ``sum q * log(omega) - omega * sum q dt - sum q * log Q(omega)`` (up to a
+    constant), where ``Q`` is the tail mass of :func:`tail_masses`.  The
+    coordinate is ``x = log(omega)``, flattened row-major over (a', a).
+    Returns ``(objective, x0, active)`` in the form :func:`_ascend` takes;
+    ``active`` marks the cells with responsibility mass.
+    """
+    panel = resp.panel
+    A = params.structure.n_actions
+    n = A * A
+    pair_cell = panel.sp_a_src * A + panel.sp_a_dst
+    sq = np.bincount(pair_cell, weights=resp.q, minlength=n)
+    sq_dt = np.bincount(pair_cell, weights=resp.q * panel.sp_dt, minlength=n)
+    live = panel.ev_tail > 0
+    ev_cell = (panel.ev_a[live, None] * A + np.arange(A)).reshape(-1)
+    log_s = np.repeat(np.log(panel.ev_tail[live]), A)
+
+    def cell_sum(weights):
+        return np.bincount(ev_cell, weights=weights, minlength=n)
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def objective(x, derivatives=False):
+        v = x[:, 0]
+        y = np.minimum(v[ev_cell] + log_s, EXP_LIMIT)  # log(omega s)
+        e = np.exp(y)
+        tail = cell_sum(-np.expm1(-e))
+        rate = np.exp(v) * sq_dt
+        f = sq * v - rate - xlogy(sq, tail)
+        if not derivatives:
+            return f
+        ye = np.exp(y - e)  # omega s exp(-omega s)
+        d1 = cell_sum(ye) / tail  # d log Q / d log omega
+        d2 = cell_sum(ye * (1.0 - e)) / tail
+        grad = sq - rate - sq * d1
+        hess = -rate - sq * (d2 - d1 * d1)
+        return f, grad[:, None], hess[:, None, None]
+
+    with np.errstate(divide="ignore"):
+        x0 = np.log(params.omega).reshape(-1, 1)
+    return objective, x0, sq > 0
+
+
+def weibull_objective(resp: Responsibilities, params: ModelParams):
+    """Profiled EM bound of the Weibull kernel, per (c, a) cell.
+
+    The coordinates are ``x = (u, kappa)`` with ``u`` the log of the Weibull
+    scale, so ``gamma = exp(-kappa u)``.  With ``phi = sum r / R`` profiled
+    out, where ``R`` is the tail mass of :func:`tail_masses`, the bound of a
+    cell is, up to a constant,
+    ``sum r * (log kappa + kappa (log dt - u) - (dt / e^u)^kappa) - sum r * log R``.
+    Returns ``(objective, x0, active)`` as :func:`exponential_objective`.
     """
     panel = resp.panel
     s = params.structure
-    A, C = s.n_actions, s.n_categories
+    A = s.n_actions
+    n = s.n_categories * A
+    pair_cell = panel.lp_c_src * A + panel.lp_a
+    r = resp.r
+    log_dt = np.log(panel.lp_dt)
+    sr = np.bincount(pair_cell, weights=r, minlength=n)
+    sr_log = np.bincount(pair_cell, weights=r * log_dt, minlength=n)
+    live = panel.ev_tail > 0
+    ev_cell = (panel.ev_cat * A + panel.ev_a)[live]
+    log_s = np.log(panel.ev_tail[live])
 
-    q_num = np.bincount(
-        panel.sp_a_src * A + panel.sp_a_dst, weights=resp.q, minlength=A * A
-    ).reshape(A, A)
-    q_dt = np.bincount(
-        panel.sp_a_src * A + panel.sp_a_dst,
-        weights=resp.q * panel.sp_dt,
-        minlength=A * A,
-    ).reshape(A, A)
-    q_tail = np.zeros((A, A))
-    for a_src in range(A):
-        tails = panel.ev_tail[panel.ev_a == a_src]
-        if tails.size:
-            q_tail[a_src] = (
-                tails[:, None] * np.exp(-np.outer(tails, params.omega[a_src]))
-            ).sum(axis=0)
-    omega_den = q_dt + params.theta * q_tail
-    usable = (q_num > 0) & (omega_den > 0) & np.isfinite(omega_den)
-    omega = np.where(usable, q_num / np.where(usable, omega_den, 1.0), params.omega)
+    def pair_sum(weights):
+        return np.bincount(pair_cell, weights=weights, minlength=n)
 
-    r_num = np.bincount(
-        panel.lp_c_src * A + panel.lp_a, weights=resp.r, minlength=C * A
-    ).reshape(C, A)
-    ka_pair = params.kappa[panel.lp_c_src, panel.lp_a]
-    with np.errstate(over="ignore"):
-        r_dt = np.bincount(
-            panel.lp_c_src * A + panel.lp_a,
-            weights=resp.r * panel.lp_dt**ka_pair,
-            minlength=C * A,
-        ).reshape(C, A)
-        ga_ev = params.gamma[panel.ev_cat, panel.ev_a]
-        ka_ev = params.kappa[panel.ev_cat, panel.ev_a]
-        powered = panel.ev_tail**ka_ev
-        r_tail = np.bincount(
-            panel.ev_cat * A + panel.ev_a,
-            weights=powered * np.exp(-ga_ev * powered),
-            minlength=C * A,
-        ).reshape(C, A)
-    gamma_den = r_dt + params.phi * r_tail
-    usable = (r_num > 0) & (gamma_den > 0) & np.isfinite(gamma_den)
-    gamma = np.where(usable, r_num / np.where(usable, gamma_den, 1.0), params.gamma)
-    return omega, gamma
+    def event_sum(weights):
+        return np.bincount(ev_cell, weights=weights, minlength=n)
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def objective(x, derivatives=False):
+        u, k = x[:, 0], x[:, 1]
+        xp = log_dt - u[pair_cell]  # log(dt / scale)
+        ye = log_s - u[ev_cell]
+        ky = np.minimum(k[ev_cell] * ye, EXP_LIMIT)
+        v = np.exp(ky)  # gamma s^kappa
+        rw = r * np.exp(np.minimum(k[pair_cell] * xp, EXP_LIMIT))  # r gamma dt^kappa
+        w0 = pair_sum(rw)
+        tail = event_sum(-np.expm1(-v))
+        linear = sr_log - u * sr
+        f = xlogy(sr, k) + k * linear - w0 - xlogy(sr, tail)
+        if not derivatives:
+            return f
+        w1, w2 = pair_sum(rw * xp), pair_sum(rw * xp * xp)
+        ev = np.exp(ky - v)  # gamma s^kappa exp(-gamma s^kappa)
+        bend = ev * (1.0 - v)
+        e0, e1, b0, b1, b2 = (
+            event_sum(w) / tail for w in (ev, ev * ye, bend, bend * ye, bend * ye * ye)
+        )
+        # first derivatives of log R in u and kappa
+        l_u, l_k = -k * e0, e1
+        grad = np.stack([k * (w0 - sr) - sr * l_u, sr / k + linear - w1 - sr * l_k], axis=1)
+        h_uu = -k * k * w0 - sr * (k * k * b0 - l_u * l_u)
+        h_uk = w0 + k * w1 - sr - sr * (-e0 - k * b1 - l_u * l_k)
+        h_kk = -sr / (k * k) - w2 - sr * (b2 - l_k * l_k)
+        hess = np.stack([np.stack([h_uu, h_uk], -1), np.stack([h_uk, h_kk], -1)], -2)
+        return f, grad, hess
+
+    kappa = params.kappa.reshape(-1)
+    with np.errstate(divide="ignore"):
+        u0 = -np.log(params.gamma.reshape(-1)) / kappa
+    return objective, np.stack([u0, kappa], axis=1), sr > 0
 
 
-# ---------------------------------------------------------------------------
-# Newton-handled slices: kappa and (mu, sigma)
-# ---------------------------------------------------------------------------
-
-
-def _erf_derivatives(x: float, mu: float, sigma: float) -> tuple[float, ...]:
-    """First and second derivatives of ``erf((x - mu) / (sqrt(2) sigma))``:
-    d/dmu, d/dsigma, d2/dmu2, d2/dmu dsigma, d2/dsigma2."""
-    w = (x - mu) / (_SQRT2 * sigma)
-    e = _C1 * math.exp(-w * w)
+def _mass_derivatives(mu, sigma, T: float, day_length: float) -> list[np.ndarray]:
+    """d/dmu, d/dsigma, d2/dmu2, d2/dmu dsigma, d2/dsigma2 of
+    :func:`background_mass` over [0, T]."""
+    # background_mass is (full_days (E(day) - E(0)) + (E(rem) - E(0))) / 2
+    # with E(x) = erf((x - mu) / (sqrt(2) sigma))
+    full_days, rem = divmod(T, day_length)
     s2 = sigma * sigma
-    return (
-        -e / (_SQRT2 * sigma),
-        -w * e / sigma,
-        -w * e / s2,
-        -e * (2.0 * w * w - 1.0) / (_SQRT2 * s2),
-        2.0 * w * (1.0 - w * w) * e / s2,
+
+    def erf_derivatives(x):
+        w = (x - mu) / (_SQRT2 * sigma)
+        e = _C1 * np.exp(-w * w)
+        return (
+            -e / (_SQRT2 * sigma),
+            -w * e / sigma,
+            -w * e / s2,
+            -e * (2.0 * w * w - 1.0) / (_SQRT2 * s2),
+            2.0 * w * (1.0 - w * w) * e / s2,
+        )
+
+    at_zero = erf_derivatives(0.0)
+    at_day = erf_derivatives(day_length)
+    at_rem = erf_derivatives(rem)
+    return [(full_days * (d - z) + (r - z)) / 2.0 for z, d, r in zip(at_zero, at_day, at_rem)]
+
+
+def background_objective(resp: Responsibilities, params: ModelParams, T: float):
+    """Profiled EM bound of the background, per (a, z) cell, in ``x = (mu, sigma)``.
+
+    With ``beta = sum pz / (U * mass)`` profiled out, where ``mass`` is the
+    component's :func:`background_mass` over [0, T], the bound of a cell is
+    ``-sum pz * log(sigma) - S2 / (2 sigma^2) - sum pz * log(mass)`` up to a
+    constant, with ``S2`` the responsibility-weighted squared distance of the
+    event hours of day from ``mu``.  Returns ``(objective, x0, active)`` as
+    :func:`exponential_objective`.
+    """
+    panel = resp.panel
+    s = params.structure
+    Z = s.n_mixtures
+    n = s.n_actions * Z
+    cell = (panel.ev_a[:, None] * Z + np.arange(Z)).reshape(-1)
+    pz = resp.pz.reshape(-1)
+    tod = np.repeat(panel.ev_tod, Z)
+    sw, swl, swll = (
+        np.bincount(cell, weights=w, minlength=n) for w in (pz, pz * tod, pz * tod * tod)
     )
 
-
-@dataclass(frozen=True)
-class GaussianSlice:
-    """Bound slice for one (action, mixture) pair as a function of (mu, sigma).
-
-    ``sw``, ``swl``, ``swll`` are the 0th/1st/2nd responsibility-weighted
-    moments of the event hours-of-day; ``kz`` (users times beta) multiplies
-    the component's :func:`background_mass` over [0, horizon] in the
-    compensator.
-    """
-
-    sw: float
-    swl: float
-    swll: float
-    kz: float
-    day_length: float
-    horizon: float
-
-    def _mass_derivatives(self, mu: float, sigma: float) -> list[float]:
-        # background_mass is (full_days (erf at day_length - erf at 0)
-        # + (erf at rem - erf at 0)) / 2 with erf at x = erf((x - mu) / (sqrt(2) sigma))
-        full_days, rem = divmod(self.horizon, self.day_length)
-        at_zero = _erf_derivatives(0.0, mu, sigma)
-        at_day = _erf_derivatives(self.day_length, mu, sigma)
-        at_rem = _erf_derivatives(rem, mu, sigma)
-        return [
-            (full_days * (d - z) + (r - z)) / 2.0 for z, d, r in zip(at_zero, at_day, at_rem)
-        ]
-
-    def value(self, mu: float, sigma: float) -> float:
-        s2 = self.swll - 2.0 * mu * self.swl + mu * mu * self.sw
-        mass = float(background_mass(mu, sigma, self.horizon, self.day_length))
-        return -self.sw * math.log(sigma) - s2 / (2.0 * sigma * sigma) - self.kz * mass
-
-    def grad(self, mu: float, sigma: float) -> np.ndarray:
-        s2 = self.swll - 2.0 * mu * self.swl + mu * mu * self.sw
-        d = self._mass_derivatives(mu, sigma)
-        g_mu = (self.swl - mu * self.sw) / sigma**2 - self.kz * d[0]
-        g_sigma = -self.sw / sigma + s2 / sigma**3 - self.kz * d[1]
-        return np.array([g_mu, g_sigma])
-
-    def hess(self, mu: float, sigma: float) -> np.ndarray:
-        s2 = self.swll - 2.0 * mu * self.swl + mu * mu * self.sw
-        d = self._mass_derivatives(mu, sigma)
-        h_mm = -self.sw / sigma**2 - self.kz * d[2]
-        h_ms = -2.0 * (self.swl - mu * self.sw) / sigma**3 - self.kz * d[3]
-        h_ss = self.sw / sigma**2 - 3.0 * s2 / sigma**4 - self.kz * d[4]
-        return np.array([[h_mm, h_ms], [h_ms, h_ss]])
-
-
-@dataclass(frozen=True)
-class ShapeSlice:
-    """Bound slice for one (category, action) pair as a function of kappa.
-
-    ``pair_dt``/``pair_r`` are the gaps and responsibilities of the cell's
-    same-action pairs; ``tail_s`` the residual horizons of the cell's events.
-    ``gamma`` and ``phi`` are held at their current iterates.
-    """
-
-    sr: float
-    d1: float
-    gamma: float
-    phi: float
-    pair_dt: np.ndarray
-    pair_r: np.ndarray
-    tail_s: np.ndarray
-
-    def value(self, kappa: float) -> float:
-        with np.errstate(over="ignore"):
-            dt_k = self.pair_dt**kappa
-            s_k = self.tail_s**kappa
-        event = self.sr * math.log(kappa) + (kappa - 1.0) * self.d1
-        event -= self.gamma * float((self.pair_r * dt_k).sum())
-        tail = self.phi * float((-np.expm1(-self.gamma * s_k)).sum())
-        return event - tail
-
-    def grad(self, kappa: float) -> float:
-        log_dt = np.log(self.pair_dt)
-        log_s = np.log(self.tail_s)
-        with np.errstate(over="ignore"):
-            dt_k = self.pair_dt**kappa
-            s_k = self.tail_s**kappa
-        g = self.sr / kappa + self.d1
-        g -= self.gamma * float((self.pair_r * dt_k * log_dt).sum())
-        g -= self.phi * self.gamma * float((s_k * log_s * np.exp(-self.gamma * s_k)).sum())
-        return g
-
-    def hess(self, kappa: float) -> float:
-        log_dt = np.log(self.pair_dt)
-        log_s = np.log(self.tail_s)
-        with np.errstate(over="ignore"):
-            dt_k = self.pair_dt**kappa
-            s_k = self.tail_s**kappa
-        h = -self.sr / kappa**2
-        h -= self.gamma * float((self.pair_r * dt_k * log_dt**2).sum())
-        h -= self.phi * self.gamma * float(
-            (log_s**2 * s_k * np.exp(-self.gamma * s_k) * (1.0 - self.gamma * s_k)).sum()
+    @np.errstate(divide="ignore", invalid="ignore")
+    def objective(x, derivatives=False):
+        mu, sg = x[:, 0], x[:, 1]
+        centred = swl - mu * sw
+        s2 = swll - 2.0 * mu * swl + mu * mu * sw
+        mass = background_mass(mu, sg, T, s.day_length)
+        f = -sw * np.log(sg) - s2 / (2.0 * sg * sg) - xlogy(sw, mass)
+        if not derivatives:
+            return f
+        # derivatives of log(mass) come from those of mass over mass
+        m_m, m_s, m_mm, m_ms, m_ss = (
+            d / mass for d in _mass_derivatives(mu, sg, T, s.day_length)
         )
-        return h
+        grad = np.stack(
+            [centred / sg**2 - sw * m_m, -sw / sg + s2 / sg**3 - sw * m_s], axis=1
+        )
+        h_mm = -sw / sg**2 - sw * (m_mm - m_m * m_m)
+        h_ms = -2.0 * centred / sg**3 - sw * (m_ms - m_m * m_s)
+        h_ss = sw / sg**2 - 3.0 * s2 / sg**4 - sw * (m_ss - m_s * m_s)
+        hess = np.stack([np.stack([h_mm, h_ms], -1), np.stack([h_ms, h_ss], -1)], -2)
+        return f, grad, hess
+
+    x0 = np.stack([params.mu.reshape(-1), params.sigma.reshape(-1)], axis=1)
+    return objective, x0, sw > 0
 
 
-def gaussian_slices(
-    resp: Responsibilities, params: ModelParams, T: float
-) -> dict[tuple[int, int], GaussianSlice]:
-    """One slice per (action, mixture) cell that carries responsibility mass."""
-    panel = resp.panel
-    s = params.structure
-    A, Z = s.n_actions, s.n_mixtures
-    sw = np.zeros((A, Z))
-    swl = np.zeros((A, Z))
-    swll = np.zeros((A, Z))
-    np.add.at(sw, panel.ev_a, resp.pz)
-    np.add.at(swl, panel.ev_a, resp.pz * panel.ev_tod[:, None])
-    np.add.at(swll, panel.ev_a, resp.pz * panel.ev_tod[:, None] ** 2)
-    kz = panel.n_users * params.beta
-    out = {}
-    for a in range(A):
-        for z in range(Z):
-            if sw[a, z] > 0:
-                out[(a, z)] = GaussianSlice(
-                    sw=float(sw[a, z]),
-                    swl=float(swl[a, z]),
-                    swll=float(swll[a, z]),
-                    kz=float(kz[a, z]),
-                    day_length=s.day_length,
-                    horizon=T,
-                )
-    return out
+def m_step_rate(
+    resp: Responsibilities,
+    params: ModelParams,
+    T: float,
+    config: FitConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Kernel shapes: one guarded Newton step on the profiled bound of every
+    exponential (a', a) cell in log omega and every Weibull (c, a) cell in
+    (log scale, kappa).  Returns omega, gamma, kappa and the number of cells
+    that gave up; cells without responsibility mass, and cells that give up,
+    keep their values."""
+    cfg = config or FitConfig()
 
+    objective, x0, active = exponential_objective(resp, params)
+    x, moved, fallbacks = _ascend(
+        objective, x0, active, lambda x: np.clip(x, -EXP_LIMIT, EXP_LIMIT)
+    )
+    omega = np.where(moved, np.exp(x[:, 0]), params.omega.reshape(-1))
 
-def shape_slices(
-    resp: Responsibilities, params: ModelParams, T: float
-) -> dict[tuple[int, int], ShapeSlice]:
-    """One slice per (category, action) cell that carries responsibility mass."""
-    panel = resp.panel
-    s = params.structure
-    A, C = s.n_actions, s.n_categories
-    pair_cell = panel.lp_c_src * A + panel.lp_a
-    ev_cell = panel.ev_cat * A + panel.ev_a
-    pair_order = np.argsort(pair_cell, kind="stable")
-    ev_order = np.argsort(ev_cell, kind="stable")
-    pair_sorted = pair_cell[pair_order]
-    ev_sorted = ev_cell[ev_order]
-    out = {}
-    for c in range(C):
-        for a in range(A):
-            cell = c * A + a
-            p_lo, p_hi = np.searchsorted(pair_sorted, [cell, cell + 1])
-            if p_lo == p_hi:
-                continue
-            idx = pair_order[p_lo:p_hi]
-            r_cell = resp.r[idx]
-            sr = float(r_cell.sum())
-            if sr <= 0:
-                continue
-            e_lo, e_hi = np.searchsorted(ev_sorted, [cell, cell + 1])
-            tails = panel.ev_tail[ev_order[e_lo:e_hi]]
-            out[(c, a)] = ShapeSlice(
-                sr=sr,
-                d1=float((r_cell * np.log(panel.lp_dt[idx])).sum()),
-                gamma=float(params.gamma[c, a]),
-                phi=float(params.phi[c, a]),
-                pair_dt=panel.lp_dt[idx],
-                pair_r=r_cell,
-                tail_s=tails[tails > 0],
-            )
-    return out
+    def project(x):
+        k = np.clip(x[:, 1], cfg.param_floor, KAPPA_MAX)
+        return np.stack([np.clip(x[:, 0], -EXP_LIMIT / k, EXP_LIMIT / k), k], axis=1)
 
-
-def _newton_1d(sl, x0, lo, hi, max_steps, max_inner):
-    """Damped ascent on a scalar slice; returns (argmax-ish x, fell_back)."""
-    x = min(max(x0, lo), hi)
-    fx = sl.value(x)
-    for _ in range(max_steps):
-        g = sl.grad(x)
-        h = sl.hess(x)
-        if math.isfinite(h) and h < 0:
-            d = -g / h
-        else:
-            d = g / (abs(h) + 1.0)
-        if not math.isfinite(d) or d == 0.0:
-            return x, False
-        step = 1.0
-        accepted = False
-        for _ in range(max_inner):
-            xn = min(max(x + step * d, lo), hi)
-            fn = sl.value(xn)
-            if math.isfinite(fn) and fn >= fx - 1e-12 * abs(fx) - 1e-30:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return x, True
-        moved = abs(xn - x)
-        x, fx = xn, fn
-        if moved < 1e-9 * max(1.0, abs(x)):
-            break
-    return x, False
-
-
-def _newton_2d(sl, x0, project, max_steps, max_inner):
-    x = project(np.asarray(x0, dtype=float))
-    fx = sl.value(*x)
-    for _ in range(max_steps):
-        g = sl.grad(*x)
-        h = sl.hess(*x)
-        neg_def = h[0, 0] < 0 and np.linalg.det(h) > 0
-        if neg_def:
-            d = np.linalg.solve(h, -g)
-        else:
-            d = g / (np.abs(h).max() + 1.0)
-        if not np.all(np.isfinite(d)) or not np.any(d):
-            return x, False
-        step = 1.0
-        accepted = False
-        for _ in range(max_inner):
-            xn = project(x + step * d)
-            fn = sl.value(*xn)
-            if math.isfinite(fn) and fn >= fx - 1e-12 * abs(fx) - 1e-30:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return x, True
-        moved = float(np.abs(xn - x).max())
-        x, fx = xn, fn
-        if moved < 1e-9 * max(1.0, float(np.abs(x).max())):
-            break
-    return x, False
+    objective, x0, active = weibull_objective(resp, params)
+    x, moved, fell = _ascend(objective, x0, active, project)
+    gamma = np.where(moved, np.exp(-x[:, 1] * x[:, 0]), params.gamma.reshape(-1))
+    kappa = np.where(moved, x[:, 1], params.kappa.reshape(-1))
+    shape = params.kappa.shape
+    return (
+        omega.reshape(params.omega.shape),
+        gamma.reshape(shape),
+        kappa.reshape(shape),
+        fallbacks + fell,
+    )
 
 
 def m_step_newton(
@@ -521,50 +510,25 @@ def m_step_newton(
     params: ModelParams,
     T: float,
     config: FitConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Newton-ascent updates for kappa, mu, sigma; returns them plus the
-    number of cells where backtracking gave up (previous value kept)."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Background shapes: one guarded Newton step on the profiled bound of
+    every (a, z) cell in (mu, sigma).  Returns mu, sigma and the number of
+    cells that gave up; cells without responsibility mass, and cells that
+    give up, keep their values."""
     cfg = config or FitConfig()
-    s = params.structure
-    kappa = np.array(params.kappa)
-    mu = np.array(params.mu)
-    sigma = np.array(params.sigma)
-    fallbacks = 0
+    day = params.structure.day_length
 
-    for (c, a), sl in shape_slices(resp, params, T).items():
-        new, fell = _newton_1d(
-            sl,
-            float(params.kappa[c, a]),
-            cfg.param_floor,
-            KAPPA_MAX,
-            cfg.newton_max_steps,
-            cfg.newton_max_inner,
-        )
-        kappa[c, a] = new
-        fallbacks += fell
-
-    day = s.day_length
-
-    def project(x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                min(max(x[0], 1e-6), day - 1e-6),
-                max(x[1], cfg.sigma_floor),
-            ]
+    def project(x):
+        return np.stack(
+            [np.clip(x[:, 0], 1e-6, day - 1e-6), np.maximum(x[:, 1], cfg.sigma_floor)],
+            axis=1,
         )
 
-    for (a, z), sl in gaussian_slices(resp, params, T).items():
-        new, fell = _newton_2d(
-            sl,
-            (float(params.mu[a, z]), float(params.sigma[a, z])),
-            project,
-            cfg.newton_max_steps,
-            cfg.newton_max_inner,
-        )
-        mu[a, z], sigma[a, z] = new
-        fallbacks += fell
-
-    return kappa, mu, sigma, fallbacks
+    objective, x0, active = background_objective(resp, params, T)
+    x, moved, fallbacks = _ascend(objective, x0, active, project)
+    mu = np.where(moved, x[:, 0], params.mu.reshape(-1)).reshape(params.mu.shape)
+    sigma = np.where(moved, x[:, 1], params.sigma.reshape(-1)).reshape(params.sigma.shape)
+    return mu, sigma, fallbacks
 
 
 # ---------------------------------------------------------------------------
@@ -624,34 +588,18 @@ def _m_step(
     resp: Responsibilities, params: ModelParams, config: FitConfig
 ) -> tuple[ModelParams, int]:
     T = resp.panel.T
-    alpha, beta, theta, phi = m_step_closed(resp, params, T, config.param_floor)
-    omega, gamma = m_step_rate(resp, params, T)
-    kappa, mu, sigma, fallbacks = m_step_newton(resp, params, T, config)
-
+    omega, gamma, kappa, rate_fallbacks = m_step_rate(resp, params, T, config)
+    mu, sigma, bg_fallbacks = m_step_newton(resp, params, T, config)
+    shaped = replace(params, mu=mu, sigma=sigma, omega=omega, gamma=gamma, kappa=kappa)
+    alpha, beta, theta, phi = m_step_closed(resp, shaped, T, config.param_floor)
     if not config.include_background:
         beta = np.zeros_like(beta)
-        mu, sigma = params.mu, params.sigma
     if not config.include_short:
         theta = np.zeros_like(theta)
-        omega = params.omega
     if not config.include_long:
         phi = np.zeros_like(phi)
-        gamma, kappa = params.gamma, params.kappa
-
-    new = ModelParams(
-        structure=params.structure,
-        users=params.users,
-        alpha=alpha,
-        beta=beta,
-        mu=mu,
-        sigma=np.maximum(sigma, config.sigma_floor),
-        theta=theta,
-        omega=omega,
-        phi=phi,
-        gamma=gamma,
-        kappa=kappa,
-    )
-    return new, fallbacks
+    new = replace(shaped, alpha=alpha, beta=beta, theta=theta, phi=phi)
+    return new, rate_fallbacks + bg_fallbacks
 
 
 def fit(

@@ -38,7 +38,7 @@ from .errors import InvalidInputError, NumericalFailureError
 from .model import (
     ModelParams,
     UserHistory,
-    _intensity_vector_arrays,
+    _background_vector,
     exp_kernel,
     gaussian_density,
     tod_categories,
@@ -268,11 +268,19 @@ def quadrature_compensator(
             )
         )
 
+        preference = float(alpha_row.sum())
+        theta, omega = params.theta[actions], params.omega[actions]
+        phi, gamma = params.phi[cats, actions], params.gamma[cats, actions]
+        kappa = params.kappa[cats, actions]
+
         def rate(t: float, k: int) -> float:
-            lam = _intensity_vector_arrays(
-                params, alpha_row, times[:k], actions[:k], cats[:k], t
-            )
-            return float(lam.sum())
+            # kernels at the true gap: inside a panel t lies strictly after
+            # the k earlier events, so no gap needs the TIE_EPSILON floor
+            d = t - times[:k]
+            lam = preference + _background_vector(params, t).sum()
+            lam += exp_kernel(d[:, None], theta[:k], omega[:k]).sum()
+            lam += weibull_kernel(d, phi[:k], gamma[:k], kappa[:k]).sum()
+            return float(lam)
 
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             k = int(np.searchsorted(times, lo, side="right"))

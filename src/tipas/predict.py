@@ -40,7 +40,6 @@ class PredictionTask:
     user: str
     history_prefix: UserHistory
     t: float
-    horizon_filter: float = 12.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.history_prefix, UserHistory):

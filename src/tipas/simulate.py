@@ -12,7 +12,7 @@ pick their action proportionally to the per-action intensities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -240,19 +240,7 @@ def params_for_users(params: ModelParams, users: Sequence[str]) -> ModelParams:
         raise InvalidInputError(
             f"cannot rebind {n_rows} alpha rows to {len(users)} users"
         )
-    return ModelParams(
-        structure=params.structure,
-        users=users,
-        alpha=alpha,
-        beta=params.beta,
-        mu=params.mu,
-        sigma=params.sigma,
-        theta=params.theta,
-        omega=params.omega,
-        phi=params.phi,
-        gamma=params.gamma,
-        kappa=params.kappa,
-    )
+    return replace(params, users=users, alpha=alpha)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[UserHistory]:

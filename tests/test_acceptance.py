@@ -43,7 +43,7 @@ from tipas.baselines import (
     UserAverageIntervalModel,
 )
 from tipas.cli import main as cli_main
-from tipas.inference import gaussian_slices, shape_slices
+from tipas.inference import background_objective, exponential_objective, weibull_objective
 from tipas.metrics import mae_filtered
 from tipas.predict import make_tipas_factory
 from tipas.simulate import params_for_users
@@ -212,7 +212,7 @@ def test_criterion_03_responsibility_normalization():
 
 
 def test_criterion_04_gradient_oracle():
-    with criterion(4, "Newton slice gradients match finite differences", 120.0):
+    with criterion(4, "profiled M-step gradients and Hessians match finite differences", 120.0):
         rng = np.random.default_rng(41)
         states = 0
         while states < 50:
@@ -231,25 +231,28 @@ def test_criterion_04_gradient_oracle():
             resp = e_step(p, hs)
             T = p.structure.horizon
             checked_any = False
-            for (a, z), sl in gaussian_slices(resp, p, T).items():
-                mu, sg = float(p.mu[a, z]), float(p.sigma[a, z])
-                g = sl.grad(mu, sg)
-                h = 1e-5
-                fd = np.array(
-                    [
-                        (sl.value(mu + h, sg) - sl.value(mu - h, sg)) / (2 * h),
-                        (sl.value(mu, sg + h) - sl.value(mu, sg - h)) / (2 * h),
-                    ]
-                )
-                denom = np.maximum(1.0, np.abs(fd))
-                assert np.all(np.abs(g - fd) / denom < 1e-4)
-                checked_any = True
-            for (c, a), sl in shape_slices(resp, p, T).items():
-                k = float(p.kappa[c, a])
-                g = sl.grad(k)
+            blocks = (
+                exponential_objective(resp, p),
+                weibull_objective(resp, p),
+                background_objective(resp, p, T),
+            )
+            for objective, x0, active in blocks:
+                if not active.any():
+                    continue
+                _, g, hess = objective(x0, derivatives=True)
                 h = 1e-6
-                fd = (sl.value(k + h) - sl.value(k - h)) / (2 * h)
-                assert abs(g - fd) / max(1.0, abs(fd)) < 1e-4
+                for j in range(x0.shape[1]):
+                    step = np.zeros_like(x0)
+                    step[:, j] = h
+                    fd = (objective(x0 + step) - objective(x0 - step)) / (2 * h)
+                    fd_g = (
+                        objective(x0 + step, derivatives=True)[1]
+                        - objective(x0 - step, derivatives=True)[1]
+                    ) / (2 * h)
+                    for got, want in ((g[:, j], fd), (hess[:, :, j], fd_g)):
+                        got, want = got[active], want[active]
+                        denom = np.maximum(1.0, np.abs(want))
+                        assert np.all(np.abs(got - want) / denom < 1e-4)
                 checked_any = True
             if checked_any:
                 states += 1

@@ -1,6 +1,7 @@
 """Log-likelihood, the closed-form compensator, and its quadrature oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,21 @@ class TestCompensator:
                 a = analytic_compensator(p, hs, T)
                 q = quadrature_compensator(p, hs, T, n_panels=150)
                 assert abs(a - q) / max(1.0, abs(a)) < 1e-6
+        # kappa < 1 with a 5e-6 h gap: the Weibull hazard's spike just after
+        # the second event must be integrated at its true gap, not one
+        # raised to TIE_EPSILON
+        s = ModelStructure(n_actions=1, n_mixtures=1, horizon=36.0)
+        p = replace(
+            zero_params(s, users=("u",)),
+            alpha=np.full((1, 1), 0.01),
+            phi=np.full((4, 1), 1.5),
+            gamma=np.full((4, 1), 0.47),
+            kappa=np.full((4, 1), 0.37),
+        )
+        hs = [UserHistory("u", (EventRecord(0, 1.0), EventRecord(0, 1.000005)))]
+        a = analytic_compensator(p, hs, 36.0)
+        q = quadrature_compensator(p, hs, 36.0, n_panels=150)
+        assert abs(a - q) / max(1.0, abs(a)) < 1e-6
 
 
 class TestIntegratedIntensity:
