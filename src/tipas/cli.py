@@ -166,6 +166,13 @@ def _cmd_fit(args) -> int:
         report.converged,
         report.final_total,
     )
+    logger.info(
+        "cells on a bound: %d kappa at the cap, %d sigma at the floor, "
+        "%d weights at the floor",
+        report.kappa_at_max,
+        report.sigma_at_floor,
+        report.weights_at_floor,
+    )
     dataio.save_model(
         params,
         loaded.vocabulary,

@@ -87,7 +87,10 @@ class FitReport:
     """Per-iteration log-likelihood trace and convergence bookkeeping.
 
     ``newton_fallbacks`` counts, over all iterations, the cells whose
-    M-step Newton step found no ascent and kept their values.
+    M-step Newton step found no ascent and kept their values.  The last
+    three count the cells of the fitted parameters that end on a bound:
+    kappa at ``KAPPA_MAX``, sigma at ``FitConfig.sigma_floor``, and a kernel
+    weight (beta, theta or phi) at ``FitConfig.param_floor``.
     """
 
     ll_trace: list[LogLikValue]
@@ -95,6 +98,9 @@ class FitReport:
     converged: bool
     wall_time: float
     newton_fallbacks: int = 0
+    kappa_at_max: int = 0
+    sigma_at_floor: int = 0
+    weights_at_floor: int = 0
 
     @property
     def final_total(self) -> float:
@@ -671,6 +677,12 @@ def fit(
         converged=converged,
         wall_time=time.perf_counter() - start,
         newton_fallbacks=fallbacks,
+        kappa_at_max=int(np.count_nonzero(params.kappa == KAPPA_MAX)),
+        sigma_at_floor=int(np.count_nonzero(params.sigma == cfg.sigma_floor)),
+        weights_at_floor=sum(
+            int(np.count_nonzero(w == cfg.param_floor))
+            for w in (params.beta, params.theta, params.phi)
+        ),
     )
     return params, report
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -186,6 +186,23 @@ def tod_category(t: float, structure: ModelStructure) -> int:
     return int(tod_categories(structure, time_of_day(t, structure.day_length)))
 
 
+class RatePeaks(NamedTuple):
+    """Per-cell constants of ModelParams that the simulator's dominating
+    rate reads; ``ModelParams._rate_peaks`` builds them once per instance."""
+
+    background: np.ndarray  # (A, Z) peak beta / (sigma sqrt(2 pi)) of each Gaussian
+    background_total: float  # their sum
+    theta_omega: np.ndarray  # (A, A) exponential kernel at lag 0
+    tied: np.ndarray  # (A, A) exponential kernel at lag TIE_EPSILON
+    tied_total: list[float]  # row sums of ``tied``, per source action
+    # (6, C, A) Weibull kernel constants: kappa, kappa - 1, -gamma,
+    # phi * gamma * kappa, the mode (0 where the kernel only falls, that is
+    # kappa <= 1 or gamma = 0) and the kernel's value there (at TIE_EPSILON
+    # when the mode is 0)
+    weibull: np.ndarray
+    weibull_live: np.ndarray  # (C, A) cells whose kernel is not identically 0
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All model parameters plus the structural constants.
@@ -252,6 +269,31 @@ class ModelParams:
         if len(set(users)) != len(users):
             raise InvalidInputError("duplicate user keys")
         object.__setattr__(self, "_user_index", {u: i for i, u in enumerate(users)})
+
+    @cached_property
+    def _rate_peaks(self) -> RatePeaks:
+        """Per-cell constants that bound the kernels, computed once."""
+        ph, ga, ka = self.phi, self.gamma, self.kappa
+        safe_ga = np.where(ga > 0, ga, 1.0)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            raw_mode = ((ka - 1.0) / (safe_ga * ka)) ** (1.0 / ka)
+        mode = np.where((ka > 1.0) & (ga > 0) & np.isfinite(raw_mode), raw_mode, 0.0)
+        peak = weibull_kernel(np.maximum(mode, TIE_EPSILON), ph, ga, ka)
+        weibull = np.stack([ka, ka - 1.0, -ga, ph * ga * ka, mode, peak])
+        background = self.beta / (self.sigma * _SQRT_2PI)
+        theta_omega = self.theta * self.omega
+        tied = theta_omega * np.exp(-self.omega * TIE_EPSILON)
+        for arr in (weibull, background, theta_omega, tied):
+            arr.flags.writeable = False
+        return RatePeaks(
+            background=background,
+            background_total=float(background.sum()),
+            theta_omega=theta_omega,
+            tied=tied,
+            tied_total=tied.sum(axis=1).tolist(),
+            weibull=weibull,
+            weibull_live=weibull[3] > 0,
+        )
 
     def alpha_row(self, user: str) -> np.ndarray:
         """Per-action preference rates for ``user``; zeros when unseen."""

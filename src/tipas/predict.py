@@ -93,24 +93,40 @@ def _survival_nodes(
 
     Pieces end at every midnight after ``start`` (the background is not
     wrapped, so the rate jumps there) and at 0.25, 1 and 3 h, where the
-    kernels of the last events change fastest.  Each piece is then split
-    evenly so none spans more than 12 standard deviations of the narrowest
-    background component: a longer piece cannot resolve that bump.
+    kernels of the last events change fastest.  A background component is
+    resolved by pieces no longer than 12 of its standard deviations, but it
+    only needs them near its bump: a piece is split evenly to 12 sigma of
+    the narrowest component whose mu +- 6 sigma on that day it overlaps.  A
+    component with 36 sigma < day_length also ends pieces at mu +- 6 sigma:
+    two more pieces a day cost less than splitting its whole day.
     """
     day = params.structure.day_length
     first_midnight = (math.floor(start / day) + 1.0) * day - start
+    day_starts = np.arange(first_midnight - day, span, day)
+    bump = (params.beta > 0) & (12.0 * params.sigma < day)
+    sd = params.sigma[bump]
+    tod_lo, tod_hi = params.mu[bump] - 6.0 * sd, params.mu[bump] + 6.0 * sd
+    win_lo = day_starts[:, None] + np.maximum(tod_lo, 0.0)
+    win_hi = day_starts[:, None] + np.minimum(tod_hi, day)
+    narrow = 36.0 * sd < day
     cuts = np.unique(
-        np.concatenate(([0.0, 0.25, 1.0, 3.0, span], np.arange(first_midnight, span, day)))
+        np.concatenate(
+            (
+                [0.0, 0.25, 1.0, 3.0, span],
+                day_starts[1:],
+                win_lo[:, narrow & (tod_lo > 0.0)].ravel(),
+                win_hi[:, narrow & (tod_hi < day)].ravel(),
+            )
+        )
     )
-    cuts = cuts[cuts <= span]
-    max_len = 12.0 * params.sigma[params.beta > 0].min(initial=math.inf)
-    edges = np.concatenate(
-        [
-            np.linspace(lo, hi, max(1, math.ceil((hi - lo) / max_len)) + 1)[:-1]
-            for lo, hi in zip(cuts[:-1], cuts[1:])
-        ]
-        + [[span]]
-    )
+    cuts = cuts[(cuts >= 0.0) & (cuts <= span)]
+    lo, length = cuts[:-1], np.diff(cuts)
+    overlaps = (win_lo < cuts[1:, None, None]) & (lo[:, None, None] < win_hi)
+    max_len = np.where(overlaps, 12.0 * sd, math.inf).min(axis=(1, 2), initial=math.inf)
+    n_split = np.maximum(np.ceil(length / max_len), 1.0).astype(int)
+    piece = np.repeat(np.arange(lo.size), n_split)
+    k = np.arange(piece.size) - np.repeat(np.cumsum(n_split) - n_split, n_split)
+    edges = np.append(k * (length / n_split)[piece] + lo[piece], span)
     half = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
     lags = edges[:-1, None] + half * (_GL_NODES + 1.0)
     return lags.reshape(-1), (half * _GL_WEIGHTS).reshape(-1)

@@ -1,12 +1,18 @@
 """Exact sampling of the process by thinning, plus synthetic-data generation.
 
-A dominating rate, valid until the next event, is rebuilt after every
-candidate and every ``bound_window`` hours without one: the preference and
-background parts use global peaks, the exponential part its (decreasing)
-current value, and each Weibull term its current value or its mode peak
-when the mode still lies ahead.  Candidates arrive at the dominating rate
-and are accepted with probability ``lam(t) / lam_bar``; accepted candidates
-pick their action proportionally to the per-action intensities.
+Ogata thinning against a dominating rate that holds until the next event:
+the preference and background parts at their global peaks, the exponential
+part at its (decreasing) current value, and each Weibull term at its
+current value, or at its mode peak while the mode still lies ahead.  The
+rate is rebuilt after every candidate and every ``bound_window`` hours
+without one.  Candidates arrive at the dominating rate and are accepted
+with probability ``lam(t) / lam_bar``; accepted candidates pick their
+action proportionally to the per-action intensities.
+
+One :class:`_ThinningState` per stream carries the rate forward in time, so
+no evaluation rescans the history: the exponential part is an A x A state
+decayed from the last event (Ozaki's recursion), and the Weibull part is a
+list of the sources that can still move the rate.
 """
 
 from __future__ import annotations
@@ -28,21 +34,17 @@ from .model import (
     HistoryPrefix,
     ModelParams,
     UserHistory,
-    _intensity_vector_arrays,
     _prefix_arrays,
-    clamp_gaps,
     tod_categories,
-    weibull_kernel,
 )
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls.  The dominating rate holds until the next event;
     ``bound_window`` (hours) only sets how often it is rebuilt while no
-    candidate arrives, which changes the draws but not their distribution."""
+    candidate arrives, which changes the draws but not their distribution.
+    A rebuild costs O(A^2 + live Weibull sources), not O(history)."""
 
     horizon: float
     seed: int = 0
@@ -89,34 +91,148 @@ def _stream_rng(seed: int, *salt: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *salt))))
 
 
-def _bound_arrays(
-    params: ModelParams,
-    alpha_row: np.ndarray,
-    times: np.ndarray,
-    actions: np.ndarray,
-    cats: np.ndarray,
-    t: float,
-) -> float:
-    bound = float(alpha_row.sum())
-    bound += float((params.beta / (params.sigma * _SQRT_2PI)).sum())
-    if times.size:
-        dt = clamp_gaps(t - times)
-        om = params.omega[actions]
-        bound += float(
-            (params.theta[actions] * om * np.exp(-om * dt[:, None])).sum()
+class _ThinningState:
+    """The dominating rate and the intensity of one stream, moved forward in time.
+
+    Built once from a history in O(n A^2); afterwards ``bound(t)`` and
+    ``intensity(t)`` cost O(A^2 + live Weibull sources) and ``add(t, a)``
+    appends an event, copying only the live sources.  Times passed to the
+    three methods must not decrease and must not precede the history.
+    """
+
+    def __init__(
+        self,
+        params: ModelParams,
+        alpha_row: np.ndarray,
+        times: np.ndarray,
+        actions: np.ndarray,
+        cats: np.ndarray,
+    ) -> None:
+        peaks = params._rate_peaks
+        self._structure = params.structure
+        self._alpha_row = alpha_row
+        # background: the bound takes the sum of the Gaussians' peaks and the
+        # intensity scales each peak by its exp(-z^2 / 2)
+        self._mu, self._sigma = params.mu, params.sigma
+        self._bg_peak = peaks.background
+        self._const = float(alpha_row.sum()) + peaks.background_total
+
+        # Exponential part: ``_mass[a', a]`` sums the terms of the folded
+        # sources of action a', decayed to ``_clock``, the time of the last
+        # event.  A source is folded in once an evaluation lies at least
+        # TIE_EPSILON after it; until then it sits in ``_recent`` and, as
+        # clamp_gaps does, counts at the gap TIE_EPSILON (row ``_tied``).
+        self._theta_omega, self._tied = peaks.theta_omega, peaks.tied
+        self._tied_total = peaks.tied_total
+        self._neg_omega = -params.omega
+        self._clock = float(times[-1]) if times.size else 0.0
+        gaps = self._clock - times
+        m = int(np.count_nonzero(gaps >= TIE_EPSILON))  # times are sorted
+        src = actions[:m]
+        by_source = np.eye(len(self._neg_omega))[src].T  # (A, m) one-hot
+        self._mass = self._theta_omega * (
+            by_source @ np.exp(self._neg_omega[src] * gaps[:m, None])
         )
-        ph = params.phi[cats, actions]
-        ga = params.gamma[cats, actions]
-        ka = params.kappa[cats, actions]
-        h_now = weibull_kernel(dt, ph, ga, ka)
-        safe_ga = np.where(ga > 0, ga, 1.0)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            raw_mode = ((ka - 1.0) / (safe_ga * ka)) ** (1.0 / ka)
-        mode = np.where((ka > 1.0) & (ga > 0) & np.isfinite(raw_mode), raw_mode, 0.0)
-        peak = weibull_kernel(np.maximum(mode, TIE_EPSILON), ph, ga, ka)
+        self._recent = list(zip(times[m:].tolist(), actions[m:].tolist()))
+
+        # Weibull part: the live sources, one column each in ``_live``: time,
+        # then the constants of their cell (RatePeaks.weibull).  Cells whose
+        # kernel is identically 0 add exactly nothing and are left out.
+        self._cells, self._live_cell = peaks.weibull, peaks.weibull_live
+        keep = self._live_cell[cats, actions]
+        self._set_live(
+            np.vstack([times[keep], self._cells[:, cats[keep], actions[keep]]]),
+            actions[keep],
+        )
+        # Past its mode a Weibull term only falls.  Below 2^-80 of the
+        # constant part even a million such terms move the rate by under
+        # 1e-18 of itself, so the first bound after each added event drops
+        # them (a one-off bound on the history skips the pruning).
+        self._negligible = self._const * 2.0**-80
+        self._pruned = True
+
+    def _set_live(self, live: np.ndarray, actions: np.ndarray) -> None:
+        self._live, self._live_act = live, actions
+        (
+            self._t_src,
+            self._kappa,
+            self._kappa_m1,
+            self._neg_gamma,
+            self._scale,
+            self._mode,
+            self._peak,
+        ) = self._live
+
+    def _decay(self, t: float) -> np.ndarray:
+        """Factors that decay ``_mass`` from the clock to ``t``, after folding
+        in the recent sources that ``t`` lies at least TIE_EPSILON after."""
+        recent = []
+        for t_j, a_j in self._recent:
+            if t - t_j >= TIE_EPSILON:
+                self._mass[a_j] += self._theta_omega[a_j] * np.exp(
+                    self._neg_omega[a_j] * (self._clock - t_j)
+                )
+            else:
+                recent.append((t_j, a_j))
+        self._recent = recent
+        return np.exp(self._neg_omega * (t - self._clock))
+
+    def _weibull(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Gaps to the live Weibull sources and their terms at ``t``: the
+        arithmetic of clamp_gaps and weibull_kernel, with the per-cell
+        factors precomputed."""
+        dt = np.maximum(t - self._t_src, TIE_EPSILON)
+        log_dt = np.log(dt)
+        power = np.exp(np.minimum(self._kappa * log_dt, 709.0))
+        return dt, self._scale * np.exp(self._kappa_m1 * log_dt + self._neg_gamma * power)
+
+    def bound(self, t: float) -> float:
+        """A rate dominating the total intensity from ``t`` until the next event."""
+        decay = self._decay(t)
+        bound = self._const + (
+            float(np.vdot(self._mass, decay))
+            + sum(self._tied_total[a_j] for _, a_j in self._recent)
+        )
+        if not self._live_act.size:
+            return bound
+        dt, h = self._weibull(t)
+        rising = dt < self._mode
         # decreasing beyond the mode, so the window sup sits at the left edge
-        bound += float(np.where(dt < mode, peak, h_now).sum())
-    return bound
+        bound += float(np.where(rising, self._peak, h).sum())
+        if not self._pruned:
+            self._pruned = True
+            kept = rising | (h > self._negligible)
+            if not kept.all():
+                self._set_live(self._live[:, kept], self._live_act[kept])
+        return bound
+
+    def intensity(self, t: float) -> np.ndarray:
+        """Intensity of every action at ``t``, shape (A,)."""
+        z = (t % self._structure.day_length - self._mu) / self._sigma
+        lam = (
+            self._alpha_row
+            + (self._bg_peak * np.exp(-0.5 * z * z)).sum(axis=1)
+            + (self._mass * self._decay(t)).sum(axis=0)
+        )
+        for _, a_j in self._recent:
+            lam += self._tied[a_j]
+        if self._live_act.size:
+            np.add.at(lam, self._live_act, self._weibull(t)[1])
+        return lam
+
+    def add(self, t: float, a: int) -> None:
+        """Append an event of action ``a`` at time ``t``."""
+        self._mass *= np.exp(self._neg_omega * (t - self._clock))
+        self._clock = t
+        self._recent.append((t, a))
+        c = int(tod_categories(self._structure, t))
+        if self._live_cell[c, a]:
+            column = np.concatenate([[t], self._cells[:, c, a]])
+            self._set_live(
+                np.column_stack([self._live, column]),
+                np.concatenate([self._live_act, [a]]),
+            )
+            self._pruned = False
 
 
 def intensity_upper_bound(
@@ -126,7 +242,8 @@ def intensity_upper_bound(
     t: float,
     window: float,
 ) -> float:
-    """A rate dominating the total intensity from ``t`` until the next event.
+    """The simulator's dominating rate at ``t`` after ``history``: it bounds
+    the total intensity from ``t`` until the next event.
 
     ``window`` is checked to be positive and otherwise unused: the bound
     holds over any window that ends before the next event.
@@ -134,7 +251,7 @@ def intensity_upper_bound(
     if window <= 0:
         raise InvalidInputError("window must be positive")
     times, actions, cats = _prefix_arrays(params.structure, history, t)
-    return _bound_arrays(params, params.alpha_row(user), times, actions, cats, t)
+    return _ThinningState(params, params.alpha_row(user), times, actions, cats).bound(t)
 
 
 def _simulate_stream(
@@ -152,12 +269,13 @@ def _simulate_stream(
     stop_after: int | None = None,
 ) -> tuple[list[float], list[int]]:
     s = params.structure
+    state = _ThinningState(params, alpha_row, times, actions, cats)
     out_t: list[float] = []
     out_a: list[int] = []
     end = start + horizon
     t = start
     while t < end:
-        lam_bar = _bound_arrays(params, alpha_row, times, actions, cats, t)
+        lam_bar = state.bound(t)
         if lam_bar <= 0.0:
             t += window
             continue
@@ -168,7 +286,7 @@ def _simulate_stream(
         t_cand = t + gap
         if t_cand > end:
             break
-        lam_vec = _intensity_vector_arrays(params, alpha_row, times, actions, cats, t_cand)
+        lam_vec = state.intensity(t_cand)
         lam_tot = float(lam_vec.sum())
         if lam_tot > lam_bar * (1.0 + 1e-9):
             raise ThinningBoundError(
@@ -187,11 +305,9 @@ def _simulate_stream(
                 )
             out_t.append(t_cand)
             out_a.append(a)
-            times = np.append(times, t_cand)
-            actions = np.append(actions, a)
-            cats = np.append(cats, tod_categories(s, t_cand))
             if stop_after is not None and len(out_t) >= stop_after:
                 return out_t, out_a
+            state.add(t_cand, a)
         t = t_cand
     return out_t, out_a
 

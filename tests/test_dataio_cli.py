@@ -1,6 +1,7 @@
 """File formats, model persistence, parameter export, and the CLI surface."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -198,9 +199,10 @@ class TestCli:
         assert res.n_records > 100
         assert len(res.vocabulary) == 5
 
-    def test_full_pipeline_smoke(self, tmp_path):
+    def test_full_pipeline_smoke(self, tmp_path, caplog):
         # generate -> fit -> predict -> predict-time -> simulate ->
         # export-params on a small spec
+        caplog.set_level(logging.INFO, logger="tipas")
         spec_path = tmp_path / "spec.json"
         demo, vocab = _small_spec()
         from tipas.dataio import save_spec
@@ -214,6 +216,8 @@ class TestCli:
             ["fit", "--data", str(data), "--out", str(model),
              "--mixtures", "1", "--max-iters", "30", "--seed", "1"]
         ) == 0
+        assert "cells on a bound:" in caplog.text
+        assert "at_floor" not in model.read_text()
 
         pred = tmp_path / "pred.json"
         assert main(

@@ -378,6 +378,24 @@ class TestFit:
         assert report.iterations_run < 500
         assert report.ll_trace[-1].total >= report.ll_trace[0].total
 
+    def test_report_counts_cells_on_bounds(self):
+        # this small fit drives some Weibull shapes to the kappa cap
+        rng = np.random.default_rng(12)
+        hs = random_histories(rng, n_users=2, max_events=15, horizon=48.0)
+        cfg = FitConfig(
+            n_mixtures=1, rng_seed=0, max_iterations=500, rel_ll_tolerance=1e-4, horizon=48.0
+        )
+        params, report = fit(hs, cfg)
+        assert report.kappa_at_max == np.count_nonzero(params.kappa == KAPPA_MAX) >= 1
+        # one action, always at 09:00: the background takes every event, so
+        # its sigma sinks to the floor and theta and the four phi cells too
+        t = 9.0 + 24.0 * np.arange(10) + np.linspace(0.0, 0.01, 10)
+        daily = [UserHistory.from_arrays("u", t, np.zeros(10, dtype=int))]
+        params, report = fit(daily, FitConfig(n_mixtures=1, horizon=240.0))
+        assert params.sigma[0, 0] == FitConfig().sigma_floor
+        assert (report.sigma_at_floor, report.weights_at_floor) == (1, 5)
+        assert report.kappa_at_max == 0
+
     def test_degenerate_event_error_names_offender(self):
         from tipas import DegenerateEventError, zero_params
 

@@ -27,7 +27,7 @@ from tipas import (
     zero_params,
 )
 from tipas.model import tod_categories
-from tipas.predict import TipasPredictor
+from tipas.predict import TipasPredictor, _survival_nodes
 from tipas.simulate import _simulate_stream
 
 from conftest import random_histories, random_params
@@ -49,6 +49,29 @@ def two_action_params(**over):
     for key, val in over.items():
         base[key] = np.asarray(val, dtype=float).reshape(base[key].shape)
     return ModelParams(structure=s, users=("u",), **base)
+
+
+def quadrature_mean_wait(p, hist, span=120.0):
+    """E[min(X, span)] and S(span) for the first arrival after ``hist``.
+
+    S(s) = exp(-(Lambda(t_last + s) - Lambda(t_last))) is built from the
+    closed-form compensator and integrated adaptively, split at every point
+    where it has a kink or a background bump.
+    """
+    t_last = float(hist.times()[-1])
+    base = integrated_total_intensity(p, hist, t_last)
+
+    def survival(s):
+        return math.exp(-(integrated_total_intensity(p, hist, t_last + s) - base))
+
+    day_starts = np.arange(24.0 - t_last % 24.0, span + 24.0, 24.0) - 24.0
+    bumps = (day_starts[:, None] + p.mu.reshape(1, -1)).ravel()
+    points = np.concatenate(([0.25, 1.0, 3.0], day_starts + 24.0, bumps))
+    points = np.unique(points[(points > 0) & (points < span)])
+    want, _ = integrate.quad(
+        survival, 0.0, span, points=points, limit=1000, epsabs=1e-12, epsrel=1e-12
+    )
+    return want, survival(span)
 
 
 class TestPredictNextAction:
@@ -149,43 +172,50 @@ class TestPredictNextTime:
             assert pred.time > 8.0
 
     def test_matches_quadrature_of_integrated_intensity(self):
-        # S(s) = exp(-(Lambda(t_last + s) - Lambda(t_last))) built from the
-        # closed-form compensator and integrated adaptively, split at every
-        # point where it has a kink or a background bump
         rng = np.random.default_rng(12)
-        span = 120.0
         for _ in range(8):
             p = random_params(rng, users=("u1",), kappa_range=(0.4, 3.0))
             n = int(rng.integers(2, 7))
             times = np.sort(rng.uniform(10.0, 40.0, n))  # crosses midnight at 24h
             acts = rng.integers(0, 2, n)
-            hist = UserHistory(
-                "u1", tuple(EventRecord(int(a), float(t)) for t, a in zip(times, acts))
-            )
-            t_last = float(times[-1])
-            base = integrated_total_intensity(p, hist, t_last)
-
-            def survival(s):
-                return math.exp(-(integrated_total_intensity(p, hist, t_last + s) - base))
-
-            day_starts = np.arange(24.0 - t_last % 24.0, span + 24.0, 24.0) - 24.0
-            bumps = (day_starts[:, None] + p.mu.reshape(1, -1)).ravel()
-            points = np.concatenate(([0.25, 1.0, 3.0], day_starts + 24.0, bumps))
-            points = np.unique(points[(points > 0) & (points < span)])
-            want, _ = integrate.quad(
-                survival, 0.0, span, points=points, limit=1000, epsabs=1e-12, epsrel=1e-12
-            )
+            hist = UserHistory.from_arrays("u1", times, acts)
+            want, censored = quadrature_mean_wait(p, hist)
             pred = predict_next_time(p, "u1", hist)
-            assert pred.time - t_last == pytest.approx(want, abs=1e-5)
-            assert pred.n_censored == pytest.approx(survival(span), rel=1e-9, abs=1e-300)
+            assert pred.time - times[-1] == pytest.approx(want, abs=1e-5)
+            assert pred.n_censored == pytest.approx(censored, rel=1e-9, abs=1e-300)
+
+    @pytest.mark.parametrize("beta, sigma", [(0.004, 0.25), (1.0, 0.8)])
+    def test_narrow_component_splits_only_near_its_bump(self, beta, sigma):
+        # one narrow background bump beside a wide one.  At sigma 0.25,
+        # splitting every piece to 12 sigma = 3 h took 1,008 to 1,056 nodes
+        # over the 120 h span; its bump is now one piece of its own.  At
+        # sigma 0.8 the pieces it overlaps must still be split: 24 nodes on
+        # a whole day miss the mean wait by ~1e-3 h.
+        p = two_action_params(
+            alpha=[[0.01, 0.02]],
+            beta=[[beta], [0.6]],
+            mu=[[10.5], [14.0]],
+            sigma=[[sigma], [2.5]],
+            theta=[[0.1, 0.2], [0.05, 0.1]],
+            phi=np.full((4, 2), 0.2),
+            kappa=np.full((4, 2), 1.5),
+        )
+        for t_last in (20.0, 33.0, 46.5):
+            hist = UserHistory.from_arrays("u", [t_last - 4.0, t_last], [0, 1])
+            lags, _ = _survival_nodes(p, t_last, 120.0)
+            assert lags.size <= 456
+            want, _ = quadrature_mean_wait(p, hist)
+            assert predict_next_time(p, "u", hist).time - t_last == pytest.approx(
+                want, abs=1e-5
+            )
 
     def test_matches_monte_carlo_first_arrival(self):
         # the thinning simulator is the oracle: on each of two parameter sets
-        # the mean of min(first arrival, span) over 5k draws (10k in all)
+        # the mean of min(first arrival, span) over 10k draws (20k in all)
         # lies within three standard errors.  Its dominating rate holds for
         # every later time, so one bound window covers the whole span.
         rng = np.random.default_rng(21)
-        span, n_draws = 120.0, 5_000
+        span, n_draws = 120.0, 10_000
         hist = UserHistory("u1", (EventRecord(0, 20.0), EventRecord(1, 23.0)))
         times, actions = hist.times(), hist.actions()
         for _ in range(2):

@@ -21,6 +21,10 @@ from tipas import (
     zero_params,
 )
 
+from tipas.model import _intensity_vector_arrays, tod_categories
+from tipas.simulate import _simulate_stream, _stream_rng, _ThinningState
+
+import thinning_oracle
 from conftest import random_histories, random_params
 
 
@@ -151,6 +155,114 @@ class TestUpperBound:
             for t in grid:
                 lam = intensity_vector(p, "u1", events, float(t)).sum()
                 assert lam <= bound * (1 + 1e-9)
+
+
+def seed_history_with_ties(rng, n_actions=2, max_events=10, horizon=48.0):
+    """Sorted times with exact repeats and gaps below TIE_EPSILON."""
+    n = int(rng.integers(0, max_events + 1))
+    times = np.sort(rng.uniform(0.0, horizon, n))
+    if n:
+        k = int(rng.integers(1, n + 1))
+        picks = rng.choice(times, k)
+        near = picks + rng.choice([0.0, 3e-7, 8e-7], k)
+        times = np.sort(np.concatenate([times, near]))
+    return times, rng.integers(0, n_actions, times.size)
+
+
+class TestIncrementalThinning:
+    """The incremental dominating rate against the rescanning simulator it replaced."""
+
+    def test_stream_matches_oracle(self):
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            p = random_params(rng, users=("u1",), kappa_range=(0.5, 3.0))
+            times, actions = seed_history_with_ties(rng)
+            cats = tod_categories(p.structure, times)
+            start = float(times[-1]) if times.size else 0.0
+            horizon = 72.0
+            window = (0.5, 1.0, horizon)[trial % 3]
+            stop_after = 1 if trial % 4 == 3 else None
+            got_t, got_a = _simulate_stream(
+                p, p.alpha[0], times, actions, cats, start, horizon,
+                _stream_rng(trial, 7), window=window, stop_after=stop_after,
+            )
+            want_t, want_a = thinning_oracle._simulate_stream(
+                p, p.alpha[0], times, actions, cats, start, horizon,
+                _stream_rng(trial, 7), window=window, stop_after=stop_after,
+            )
+            assert got_a == want_a
+            np.testing.assert_allclose(got_t, want_t, rtol=1e-12, atol=0.0)
+            if stop_after:
+                assert len(got_t) <= 1
+
+    def test_upper_bound_matches_oracle(self):
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            p = random_params(rng, users=("u1",), kappa_range=(0.5, 3.0))
+            times, actions = seed_history_with_ties(rng)
+            last = float(times[-1]) if times.size else 0.0
+            t = last + float(rng.choice([0.0, 5e-7, rng.uniform(0.0, 30.0)]))
+            hist = UserHistory.from_arrays("u1", times, actions)
+            want = thinning_oracle._bound_arrays(
+                p, p.alpha[0], times, actions, tod_categories(p.structure, times), t
+            )
+            assert intensity_upper_bound(p, "u1", hist, t, 1.0) == pytest.approx(
+                want, rel=1e-12, abs=0.0
+            )
+
+    def test_intensity_at_every_candidate(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        p = random_params(rng, users=("u1",), kappa_range=(0.5, 3.0))
+        seen = []
+        inner = _ThinningState.intensity
+
+        def recording(self, t):
+            lam = inner(self, t)
+            seen.append((t, lam.copy()))
+            return lam
+
+        monkeypatch.setattr(_ThinningState, "intensity", recording)
+        empty = np.empty(0)
+        no_events = np.empty(0, dtype=np.int64)
+        out_t, out_a = _simulate_stream(
+            p, p.alpha[0], empty, no_events, no_events, 0.0, 4000.0, _stream_rng(3)
+        )
+        assert len(out_t) >= 1000
+        times, actions = np.array(out_t), np.array(out_a)
+        cats = tod_categories(p.structure, times)
+        for t, lam in seen:
+            k = int(np.searchsorted(times, t, side="left"))
+            want = _intensity_vector_arrays(p, p.alpha[0], times[:k], actions[:k], cats[:k], t)
+            np.testing.assert_allclose(lam, want, rtol=1e-10, atol=0.0)
+
+    def test_spent_weibull_sources_leave_the_list(self):
+        # a daily recurrence with kappa = 14 is spent about 1.5 days after
+        # its source, so the live list stays a few days long
+        s = ModelStructure(n_actions=1, n_mixtures=1, horizon=2400.0)
+        p = ModelParams(
+            structure=s,
+            users=("u",),
+            alpha=np.full((1, 1), 0.05),
+            beta=np.full((1, 1), 0.5),
+            mu=np.full((1, 1), 12.0),
+            sigma=np.full((1, 1), 2.0),
+            theta=np.zeros((1, 1)),
+            omega=np.ones((1, 1)),
+            phi=np.full((4, 1), 0.7),
+            gamma=np.full((4, 1), 4.4e-20),
+            kappa=np.full((4, 1), 14.0),
+        )
+        times = np.arange(0.0, 2400.0, 8.0)
+        actions = np.zeros(times.size, dtype=np.int64)
+        cats = tod_categories(s, times)
+        state = _ThinningState(p, p.alpha[0], times[:-1], actions[:-1], cats[:-1])
+        state.add(2392.0, 0)
+        # 0.1 h after the last source its term is ~1e-31, yet still rising
+        # toward a peak a day later, so it must stay
+        for t in (2392.1, 2416.0):
+            want = thinning_oracle._bound_arrays(p, p.alpha[0], times, actions, cats, t)
+            assert state.bound(t) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert state._live_act.size < 10
 
 
 class TestGenerateSynthetic:
