@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import ModelStructure, UserHistory, clamp_gaps, tod_categories
+from .model import DAY_HOURS, ModelStructure, UserHistory, clamp_gaps, tod_categories
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,13 @@ class EventPanel:
         return self.users[int(self.ev_user[n])], int(self.ev_pos[n])
 
 
-def build_panel(
-    histories: Sequence[UserHistory],
-    structure: ModelStructure,
-    T: float,
-) -> EventPanel:
+def check_histories(
+    histories: Sequence[UserHistory], structure: ModelStructure, T: float
+) -> None:
+    """Reject a non-positive horizon, a user listed twice, an event after
+    ``T`` and an action the structure does not have."""
     if T <= 0:
         raise InvalidInputError(f"observation horizon must be positive, got {T}")
-
-    users = tuple(h.user for h in histories)
     seen: set[str] = set()
     for hist in histories:
         if hist.user in seen:
@@ -84,6 +82,15 @@ def build_panel(
                 f"{structure.n_actions} actions"
             )
 
+
+def build_panel(
+    histories: Sequence[UserHistory],
+    structure: ModelStructure,
+    T: float,
+) -> EventPanel:
+    check_histories(histories, structure, T)
+    users = tuple(h.user for h in histories)
+
     def joined(parts, dtype=np.int64):
         return np.concatenate([np.empty(0, dtype=dtype), *parts])
 
@@ -97,7 +104,7 @@ def build_panel(
     sp_src_arr = joined(src + s for (src, _), s in zip(pairs, starts.tolist()))
     sp_dst_arr = joined(dst + s for (_, dst), s in zip(pairs, starts.tolist()))
 
-    ev_tod = ev_t_arr % structure.day_length
+    ev_tod = ev_t_arr % DAY_HOURS
     ev_cat = tod_categories(structure, ev_tod)
 
     sp_dt = clamp_gaps(ev_t_arr[sp_dst_arr] - ev_t_arr[sp_src_arr])

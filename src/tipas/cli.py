@@ -29,7 +29,7 @@ from .errors import (
 )
 from .inference import FitConfig, fit, select_n_mixtures
 from .metrics import report_csv_rows, report_to_dict
-from .model import ModelParams, UserHistory
+from .model import DAY_HOURS, ModelParams, UserHistory
 from .predict import (
     PredictionTask,
     make_tipas_factory,
@@ -50,10 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _tod_edges(n_windows: int, day_length: float = 24.0) -> tuple[float, ...]:
+def _tod_edges(n_windows: int) -> tuple[float, ...]:
     if n_windows < 1:
         raise InvalidInputError("--windows must be >= 1")
-    return tuple(i * day_length / n_windows for i in range(n_windows)) + (day_length,)
+    return tuple(i * DAY_HOURS / n_windows for i in range(n_windows)) + (DAY_HOURS,)
 
 
 def _build_parser() -> _Parser:
@@ -278,7 +278,7 @@ def _cmd_evaluate(args) -> int:
     n_actions = len(loaded.vocabulary)
     max_t = max((float(h.times()[-1]) for h in loaded.histories if len(h)), default=0.0)
     config = _config_from_args(args, n_actions)
-    width = args.window_days * config.day_length
+    width = args.window_days * DAY_HOURS
     span = math.ceil(max_t / width) * width if max_t > 0 else 0.0
     windows = make_windows(0.0, span, width)
     if len(windows) < 2:

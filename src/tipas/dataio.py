@@ -28,7 +28,15 @@ from .errors import (
     UnsupportedVersionError,
     VocabularyError,
 )
-from .model import ModelParams, ModelStructure, UserHistory
+from .model import (
+    DAY_HOURS,
+    ModelParams,
+    ModelStructure,
+    UserHistory,
+    exp_kernel,
+    gaussian_density,
+    weibull_kernel,
+)
 from .simulate import SyntheticSpec
 
 logger = logging.getLogger(__name__)
@@ -36,6 +44,8 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 MODEL_KIND = "tipas-model"
 SPEC_KIND = "tipas-synthetic-spec"
+# Step in hours of the time-of-day grid of the exported background curves
+TOD_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -211,7 +221,7 @@ def _params_to_dict(params: ModelParams) -> dict:
             "n_actions": s.n_actions,
             "n_mixtures": s.n_mixtures,
             "tod_edges": list(s.tod_edges),
-            "day_length": s.day_length,
+            "day_length": DAY_HOURS,
             "horizon": s.horizon,
         },
         "users": list(params.users),
@@ -235,11 +245,12 @@ def _params_to_dict(params: ModelParams) -> dict:
 def _params_from_dict(doc: dict, where: str) -> ModelParams:
     try:
         s = doc["structure"]
+        if float(s["day_length"]) != DAY_HOURS:
+            raise ValueError(f"day_length must be 24 hours, got {s['day_length']!r}")
         structure = ModelStructure(
             n_actions=int(s["n_actions"]),
             n_mixtures=int(s["n_mixtures"]),
             tod_edges=tuple(s["tod_edges"]),
-            day_length=float(s["day_length"]),
             horizon=float(s["horizon"]),
         )
         p = doc["params"]
@@ -350,29 +361,30 @@ def export_params(
     out_dir: str | Path,
     delta_max: float = 36.0,
     delta_step: float = 0.05,
-    tod_step: float = 0.1,
 ) -> list[Path]:
     """Write plot-ready CSV curves for every kernel and background density.
 
     Long-term curves are ``phi * gamma * kappa * d^(kappa-1) * exp(-gamma d^kappa)``
     per (time-of-day category, action); short-term curves are
     ``theta * omega * exp(-omega d)`` per action pair; background densities
-    sample the Gaussian-mixture rate over one day per action.
+    sample the Gaussian-mixture rate over one day per action, every
+    ``TOD_STEP`` hours.  Each value is the model's own kernel function at
+    that point.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     s = params.structure
     names = list(vocabulary) if vocabulary else [str(a) for a in range(s.n_actions)]
     deltas = np.arange(delta_step, delta_max + 1e-9, delta_step)
-    tods = np.arange(0.0, s.day_length, tod_step)
+    tods = np.arange(0.0, DAY_HOURS, TOD_STEP)
 
     long_rows = []
     for c in range(s.n_categories):
         lo, hi = s.tod_edges[c], s.tod_edges[c + 1]
         for a in range(s.n_actions):
-            ph, ga, ka = params.phi[c, a], params.gamma[c, a], params.kappa[c, a]
-            with np.errstate(over="ignore", divide="ignore"):
-                vals = ph * ga * ka * deltas ** (ka - 1.0) * np.exp(-ga * deltas**ka)
+            vals = weibull_kernel(
+                deltas, params.phi[c, a], params.gamma[c, a], params.kappa[c, a]
+            )
             for d, v in zip(deltas, vals):
                 long_rows.append([c, lo, hi, names[a], repr(float(d)), repr(float(v))])
     long_path = out_dir / "long_term_kernels.csv"
@@ -385,8 +397,9 @@ def export_params(
     short_rows = []
     for a_src in range(s.n_actions):
         for a_dst in range(s.n_actions):
-            th, om = params.theta[a_src, a_dst], params.omega[a_src, a_dst]
-            vals = th * om * np.exp(-om * deltas)
+            vals = exp_kernel(
+                deltas, params.theta[a_src, a_dst], params.omega[a_src, a_dst]
+            )
             for d, v in zip(deltas, vals):
                 short_rows.append(
                     [names[a_src], names[a_dst], repr(float(d)), repr(float(v))]
@@ -398,11 +411,7 @@ def export_params(
 
     bg_rows = []
     dens = (
-        params.beta[None, :, :]
-        * np.exp(
-            -0.5 * ((tods[:, None, None] - params.mu) / params.sigma) ** 2
-        )
-        / (params.sigma * math.sqrt(2 * math.pi))
+        params.beta * gaussian_density(tods[:, None, None], params.mu, params.sigma)
     ).sum(axis=2)
     for i, tod in enumerate(tods):
         for a in range(s.n_actions):

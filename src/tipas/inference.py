@@ -44,28 +44,35 @@ from .likelihood import (
     log_likelihood,
     tail_masses,
 )
-from .model import ModelParams, ModelStructure, UserHistory
+from .model import DAY_HOURS, ModelParams, ModelStructure, UserHistory
 
 logger = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
 _C1 = 2.0 / math.sqrt(math.pi)
+# Bounds of the M step: kappa stays at or below KAPPA_MAX and sigma at or
+# above SIGMA_FLOOR (hours); the weights alpha, beta, theta and phi, and
+# kappa, stay at or above PARAM_FLOOR, which keeps the next E step strictly
+# interior.
 KAPPA_MAX = 40.0
+SIGMA_FLOOR = 0.05
+PARAM_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for :func:`fit`; defaults suit month-scale hour-unit data."""
+    """Knobs for :func:`fit`; defaults suit month-scale hour-unit data.
+
+    The bounds of the M step are the module constants ``KAPPA_MAX``,
+    ``SIGMA_FLOOR`` and ``PARAM_FLOOR``, and a day is ``DAY_HOURS`` long.
+    """
 
     n_mixtures: int = 3
     n_actions: int | None = None  # inferred from the data when None
     tod_edges: tuple[float, ...] = (0.0, 6.0, 12.0, 18.0, 24.0)
-    day_length: float = 24.0
     horizon: float | None = None  # rounded up to whole days when None
     max_iterations: int = 500
     rel_ll_tolerance: float = 1e-6
-    param_floor: float = 1e-8
-    sigma_floor: float = 0.05
     rng_seed: int = 0
     include_background: bool = True
     include_short: bool = True
@@ -78,8 +85,6 @@ class FitConfig:
             raise InvalidInputError("max_iterations must be >= 1")
         if self.rel_ll_tolerance <= 0:
             raise InvalidInputError("rel_ll_tolerance must be positive")
-        if self.param_floor <= 0 or self.sigma_floor <= 0:
-            raise InvalidInputError("floors must be positive")
 
 
 @dataclass
@@ -89,8 +94,8 @@ class FitReport:
     ``newton_fallbacks`` counts, over all iterations, the cells whose
     M-step Newton step found no ascent and kept their values.  The last
     three count the cells of the fitted parameters that end on a bound:
-    kappa at ``KAPPA_MAX``, sigma at ``FitConfig.sigma_floor``, and a kernel
-    weight (beta, theta or phi) at ``FitConfig.param_floor``.
+    kappa at ``KAPPA_MAX``, sigma at ``SIGMA_FLOOR``, and a kernel weight
+    (beta, theta or phi) at ``PARAM_FLOOR``.
     """
 
     ll_trace: list[LogLikValue]
@@ -178,7 +183,6 @@ def m_step_closed(
     resp: Responsibilities,
     params: ModelParams,
     T: float,
-    param_floor: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form updates for alpha, beta, theta, phi.
 
@@ -186,7 +190,7 @@ def m_step_closed(
     ``T`` per user for alpha, the exact background mass over [0, T] for
     beta and the tail masses of :func:`tail_masses` for theta and phi.
     Cells with no responsibility mass (or an empty denominator) are set to
-    ``param_floor``, which keeps the next E step strictly interior.
+    ``PARAM_FLOOR``, which keeps the next E step strictly interior.
     """
     panel = resp.panel
     s = params.structure
@@ -200,7 +204,7 @@ def m_step_closed(
 
     bg_num = np.zeros((A, Z))
     np.add.at(bg_num, panel.ev_a, resp.pz)
-    beta = _ratio(bg_num, U * background_mass(params.mu, params.sigma, T, s.day_length))
+    beta = _ratio(bg_num, U * background_mass(params.mu, params.sigma, T))
 
     q_den, r_den = tail_masses(params, panel.ev_tail, panel.ev_a, panel.ev_cat)
     q_num = np.bincount(
@@ -215,12 +219,11 @@ def m_step_closed(
     ).reshape(C, A)
     phi = _ratio(r_num, r_den)
 
-    floor = param_floor
     return (
-        np.maximum(alpha, floor),
-        np.maximum(beta, floor),
-        np.maximum(theta, floor),
-        np.maximum(phi, floor),
+        np.maximum(alpha, PARAM_FLOOR),
+        np.maximum(beta, PARAM_FLOOR),
+        np.maximum(theta, PARAM_FLOOR),
+        np.maximum(phi, PARAM_FLOOR),
     )
 
 
@@ -403,12 +406,12 @@ def weibull_objective(resp: Responsibilities, params: ModelParams):
     return objective, np.stack([u0, kappa], axis=1), sr > 0
 
 
-def _mass_derivatives(mu, sigma, T: float, day_length: float) -> list[np.ndarray]:
+def _mass_derivatives(mu, sigma, T: float) -> list[np.ndarray]:
     """d/dmu, d/dsigma, d2/dmu2, d2/dmu dsigma, d2/dsigma2 of
     :func:`background_mass` over [0, T]."""
     # background_mass is (full_days (E(day) - E(0)) + (E(rem) - E(0))) / 2
     # with E(x) = erf((x - mu) / (sqrt(2) sigma))
-    full_days, rem = divmod(T, day_length)
+    full_days, rem = divmod(T, DAY_HOURS)
     s2 = sigma * sigma
 
     def erf_derivatives(x):
@@ -423,7 +426,7 @@ def _mass_derivatives(mu, sigma, T: float, day_length: float) -> list[np.ndarray
         )
 
     at_zero = erf_derivatives(0.0)
-    at_day = erf_derivatives(day_length)
+    at_day = erf_derivatives(DAY_HOURS)
     at_rem = erf_derivatives(rem)
     return [(full_days * (d - z) + (r - z)) / 2.0 for z, d, r in zip(at_zero, at_day, at_rem)]
 
@@ -454,13 +457,13 @@ def background_objective(resp: Responsibilities, params: ModelParams, T: float):
         mu, sg = x[:, 0], x[:, 1]
         centred = swl - mu * sw
         s2 = swll - 2.0 * mu * swl + mu * mu * sw
-        mass = background_mass(mu, sg, T, s.day_length)
+        mass = background_mass(mu, sg, T)
         f = -sw * np.log(sg) - s2 / (2.0 * sg * sg) - xlogy(sw, mass)
         if not derivatives:
             return f
         # derivatives of log(mass) come from those of mass over mass
         m_m, m_s, m_mm, m_ms, m_ss = (
-            d / mass for d in _mass_derivatives(mu, sg, T, s.day_length)
+            d / mass for d in _mass_derivatives(mu, sg, T)
         )
         grad = np.stack(
             [centred / sg**2 - sw * m_m, -sw / sg + s2 / sg**3 - sw * m_s], axis=1
@@ -476,18 +479,13 @@ def background_objective(resp: Responsibilities, params: ModelParams, T: float):
 
 
 def m_step_rate(
-    resp: Responsibilities,
-    params: ModelParams,
-    T: float,
-    config: FitConfig | None = None,
+    resp: Responsibilities, params: ModelParams, T: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Kernel shapes: one guarded Newton step on the profiled bound of every
     exponential (a', a) cell in log omega and every Weibull (c, a) cell in
     (log scale, kappa).  Returns omega, gamma, kappa and the number of cells
     that gave up; cells without responsibility mass, and cells that give up,
-    keep their values."""
-    cfg = config or FitConfig()
-
+    keep their values.  ``T`` is not read: the tails are in the panel."""
     objective, x0, active = exponential_objective(resp, params)
     x, moved, fallbacks = _ascend(
         objective, x0, active, lambda x: np.clip(x, -EXP_LIMIT, EXP_LIMIT)
@@ -495,7 +493,7 @@ def m_step_rate(
     omega = np.where(moved, np.exp(x[:, 0]), params.omega.reshape(-1))
 
     def project(x):
-        k = np.clip(x[:, 1], cfg.param_floor, KAPPA_MAX)
+        k = np.clip(x[:, 1], PARAM_FLOOR, KAPPA_MAX)
         return np.stack([np.clip(x[:, 0], -EXP_LIMIT / k, EXP_LIMIT / k), k], axis=1)
 
     objective, x0, active = weibull_objective(resp, params)
@@ -512,21 +510,16 @@ def m_step_rate(
 
 
 def m_step_newton(
-    resp: Responsibilities,
-    params: ModelParams,
-    T: float,
-    config: FitConfig | None = None,
+    resp: Responsibilities, params: ModelParams, T: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Background shapes: one guarded Newton step on the profiled bound of
     every (a, z) cell in (mu, sigma).  Returns mu, sigma and the number of
     cells that gave up; cells without responsibility mass, and cells that
     give up, keep their values."""
-    cfg = config or FitConfig()
-    day = params.structure.day_length
 
     def project(x):
         return np.stack(
-            [np.clip(x[:, 0], 1e-6, day - 1e-6), np.maximum(x[:, 1], cfg.sigma_floor)],
+            [np.clip(x[:, 0], 1e-6, DAY_HOURS - 1e-6), np.maximum(x[:, 1], SIGMA_FLOOR)],
             axis=1,
         )
 
@@ -564,9 +557,9 @@ def _init_params(
     qs = (np.arange(Z) + 0.5) / Z
     for a in range(A):
         tods = panel.ev_tod[panel.ev_a == a]
-        base = np.quantile(tods, qs) if tods.size else qs * structure.day_length
+        base = np.quantile(tods, qs) if tods.size else qs * DAY_HOURS
         mu[a] = base
-    mu = np.clip(mu + jitter, 0.25, structure.day_length - 0.25)
+    mu = np.clip(mu + jitter, 0.25, DAY_HOURS - 0.25)
 
     if not config.include_background:
         beta = np.zeros((A, Z))
@@ -594,10 +587,10 @@ def _m_step(
     resp: Responsibilities, params: ModelParams, config: FitConfig
 ) -> tuple[ModelParams, int]:
     T = resp.panel.T
-    omega, gamma, kappa, rate_fallbacks = m_step_rate(resp, params, T, config)
-    mu, sigma, bg_fallbacks = m_step_newton(resp, params, T, config)
+    omega, gamma, kappa, rate_fallbacks = m_step_rate(resp, params, T)
+    mu, sigma, bg_fallbacks = m_step_newton(resp, params, T)
     shaped = replace(params, mu=mu, sigma=sigma, omega=omega, gamma=gamma, kappa=kappa)
-    alpha, beta, theta, phi = m_step_closed(resp, shaped, T, config.param_floor)
+    alpha, beta, theta, phi = m_step_closed(resp, shaped, T)
     if not config.include_background:
         beta = np.zeros_like(beta)
     if not config.include_short:
@@ -628,12 +621,11 @@ def fit(
         )
     horizon = cfg.horizon
     if horizon is None:
-        horizon = max(1.0, math.ceil(max_t / cfg.day_length)) * cfg.day_length
+        horizon = max(1.0, math.ceil(max_t / DAY_HOURS)) * DAY_HOURS
     structure = ModelStructure(
         n_actions=n_actions,
         n_mixtures=cfg.n_mixtures,
         tod_edges=cfg.tod_edges,
-        day_length=cfg.day_length,
         horizon=horizon,
     )
     panel = build_panel(histories, structure, horizon)
@@ -678,9 +670,9 @@ def fit(
         wall_time=time.perf_counter() - start,
         newton_fallbacks=fallbacks,
         kappa_at_max=int(np.count_nonzero(params.kappa == KAPPA_MAX)),
-        sigma_at_floor=int(np.count_nonzero(params.sigma == cfg.sigma_floor)),
+        sigma_at_floor=int(np.count_nonzero(params.sigma == SIGMA_FLOOR)),
         weights_at_floor=sum(
-            int(np.count_nonzero(w == cfg.param_floor))
+            int(np.count_nonzero(w == PARAM_FLOOR))
             for w in (params.beta, params.theta, params.phi)
         ),
     )
@@ -723,9 +715,10 @@ def select_n_mixtures(
         raise InvalidInputError("cannot select mixtures on empty data")
     horizon = cfg.horizon
     if horizon is None:
-        horizon = max(1.0, math.ceil(max_t / cfg.day_length)) * cfg.day_length
-    day = cfg.day_length
-    t_split = max(day, math.floor(horizon * (1.0 - val_fraction) / day) * day)
+        horizon = max(1.0, math.ceil(max_t / DAY_HOURS)) * DAY_HOURS
+    t_split = max(
+        DAY_HOURS, math.floor(horizon * (1.0 - val_fraction) / DAY_HOURS) * DAY_HOURS
+    )
     train = [h.until(t_split) for h in histories]
     if sum(len(h) for h in train) == 0:
         raise InvalidInputError("validation split leaves no training events")

@@ -10,7 +10,7 @@ The integral (compensator) has a closed form at any horizon:
 
 ``background_mass`` gives ``mass``, the integral of each unit-weight
 Gaussian component over [0, T]: its truncated day mass
-``(erf(mu / (sqrt(2) sigma)) + erf((D - mu) / (sqrt(2) sigma))) / 2`` once
+``(erf(mu / (sqrt(2) sigma)) + erf((24 - mu) / (sqrt(2) sigma))) / 2`` once
 per whole day plus its truncated mass up to the time of day at which T ends.
 ``tail_masses`` gives ``Q`` and ``R``, the partially-integrated kernel tails
 ``1 - exp(-omega (T - t))`` and ``1 - exp(-gamma (T - t)^kappa)`` summed per
@@ -33,9 +33,10 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erf
 
-from ._panel import EventPanel, build_panel
+from ._panel import EventPanel, build_panel, check_histories
 from .errors import InvalidInputError, NumericalFailureError
 from .model import (
+    DAY_HOURS,
     ModelParams,
     UserHistory,
     _background_vector,
@@ -65,11 +66,11 @@ class LogLikValue:
     offenders: tuple[tuple[str, int], ...] = ()
 
 
-def _alpha_matrix(params: ModelParams, panel: EventPanel) -> np.ndarray:
-    """Per-panel-user alpha rows, zeros for users unknown to the params."""
-    if panel.n_users == 0:
+def _alpha_matrix(params: ModelParams, users: Sequence[str]) -> np.ndarray:
+    """Alpha rows of ``users``, zeros for users unknown to the params."""
+    if not users:
         return np.zeros((0, params.structure.n_actions))
-    return np.stack([params.alpha_row(u) for u in panel.users])
+    return np.stack([params.alpha_row(u) for u in users])
 
 
 def event_contributions(
@@ -83,7 +84,7 @@ def event_contributions(
     per event, i.e. the intensity at (t_n, a_n).
     """
     n = panel.n_events
-    alpha_panel = _alpha_matrix(params, panel)
+    alpha_panel = _alpha_matrix(params, panel.users)
     a0 = alpha_panel[panel.ev_user, panel.ev_a] if n else np.zeros(0)
     mu = params.mu[panel.ev_a]
     sigma = params.sigma[panel.ev_a]
@@ -105,7 +106,7 @@ def event_contributions(
     return a0, bg, q_raw, r_raw, lam
 
 
-def background_mass(mu, sigma, upto, day_length: float) -> np.ndarray:
+def background_mass(mu, sigma, upto) -> np.ndarray:
     """Integral over [0, upto] of each unit-weight background component.
 
     Broadcasts over ``mu``, ``sigma`` and ``upto``.  Whole days contribute
@@ -113,10 +114,10 @@ def background_mass(mu, sigma, upto, day_length: float) -> np.ndarray:
     up to the remaining time of day; that second term is exactly zero when
     ``upto`` is a whole number of days.
     """
-    full_days, rem = upto // day_length, upto % day_length
+    full_days, rem = upto // DAY_HOURS, upto % DAY_HOURS
     s = math.sqrt(2.0) * sigma
     below = erf(mu / s)
-    whole = full_days * (below + erf((day_length - mu) / s))
+    whole = full_days * (below + erf((DAY_HOURS - mu) / s))
     return (whole + (below + erf((rem - mu) / s))) / 2.0
 
 
@@ -150,21 +151,31 @@ def tail_masses(
 def _background_total(params: ModelParams, upto) -> np.ndarray:
     """Integral of the summed background rate over [0, upto], elementwise."""
     upto = np.asarray(upto, dtype=np.float64)[..., None, None]
-    mass = background_mass(params.mu, params.sigma, upto, params.structure.day_length)
+    mass = background_mass(params.mu, params.sigma, upto)
     return (params.beta * mass).sum(axis=(-2, -1))
 
 
-def _kernel_total(
-    params: ModelParams, tails: np.ndarray, actions: np.ndarray, cats: np.ndarray
+def _compensator(
+    params: ModelParams,
+    upto: float,
+    users: Sequence[str],
+    tails: np.ndarray,
+    actions: np.ndarray,
+    cats: np.ndarray,
 ) -> float:
+    """``upto * sum(alpha) + U * background + sum(theta * Q) + sum(phi * R)``
+    for ``users`` whose events before ``upto`` are given per event: the
+    hours ``tails`` left to ``upto``, the actions and the categories."""
+    total = upto * float(_alpha_matrix(params, users).sum())
+    total += len(users) * float(_background_total(params, upto))
     q, r = tail_masses(params, tails, actions, cats)
-    return float((params.theta * q).sum() + (params.phi * r).sum())
+    return total + float((params.theta * q).sum() + (params.phi * r).sum())
 
 
 def compensator_from_panel(params: ModelParams, panel: EventPanel) -> float:
-    total = panel.T * float(_alpha_matrix(params, panel).sum())
-    total += panel.n_users * float(_background_total(params, panel.T))
-    return total + _kernel_total(params, panel.ev_tail, panel.ev_a, panel.ev_cat)
+    return _compensator(
+        params, panel.T, panel.users, panel.ev_tail, panel.ev_a, panel.ev_cat
+    )
 
 
 def log_likelihood(
@@ -228,8 +239,11 @@ def analytic_compensator(
     params: ModelParams, histories: Sequence[UserHistory], T: float
 ) -> float:
     """Closed-form integral of the total intensity over [0, T], all users."""
-    panel = build_panel(histories, params.structure, T)
-    return compensator_from_panel(params, panel)
+    check_histories(histories, params.structure, T)
+    times = np.concatenate([np.empty(0), *(h.times() for h in histories)])
+    actions = np.concatenate([np.empty(0, np.int64), *(h.actions() for h in histories)])
+    cats = tod_categories(params.structure, times)
+    return _compensator(params, T, [h.user for h in histories], T - times, actions, cats)
 
 
 def quadrature_compensator(
@@ -257,13 +271,12 @@ def quadrature_compensator(
             )
         cats = tod_categories(params.structure, times)
         alpha_row = params.alpha_row(hist.user)
-        day = params.structure.day_length
         breaks = np.unique(
             np.concatenate(
                 [
                     np.array([0.0, T]),
                     times[times < T],
-                    np.arange(day, T, day),
+                    np.arange(DAY_HOURS, T, DAY_HOURS),
                 ]
             )
         )
@@ -307,11 +320,11 @@ def integrated_total_intensity(
     """Exact integral of the user's total intensity over [0, upto]."""
     if upto < 0 or not math.isfinite(upto):
         raise InvalidInputError(f"upto must be finite and >= 0, got {upto}")
-    total = upto * float(params.alpha_row(history.user).sum())
-    total += float(_background_total(params, upto))
     before = history.until(upto, inclusive=False)
     cats = tod_categories(params.structure, before.times())
-    return total + _kernel_total(params, upto - before.times(), before.actions(), cats)
+    return _compensator(
+        params, upto, [history.user], upto - before.times(), before.actions(), cats
+    )
 
 
 def compensator_increments(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -113,6 +114,27 @@ def _std_error(values: list[float]) -> float | None:
     return float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
+def fill_scores(
+    result: WindowResult | EvalReport,
+    preds: Sequence[int],
+    truths: Sequence[int],
+    time_abs_errors: Sequence[float],
+    n_actions: int,
+) -> None:
+    """Set the action scores, the prediction count, the MAE and the count of
+    time errors in it on ``result`` from its per-event outcomes."""
+    if len(preds):
+        result.n_predictions = len(preds)
+        result.accuracy = accuracy(preds, truths)
+        result.macro_recall = macro_recall(preds, truths, n_actions)
+        result.per_action_recall = [
+            float(r) for r in per_action_recall(preds, truths, n_actions)
+        ]
+    if len(time_abs_errors):
+        result.mae_hours = float(np.mean(time_abs_errors))
+    result.n_filtered = len(time_abs_errors)
+
+
 def finalize_report(
     report: EvalReport,
     preds: Sequence[int],
@@ -120,63 +142,26 @@ def finalize_report(
     time_abs_errors: Sequence[float],
 ) -> EvalReport:
     """Fill pooled metrics from the concatenated per-event outcomes."""
-    if len(preds):
-        report.accuracy = accuracy(preds, truths)
-        report.macro_recall = macro_recall(preds, truths, report.n_actions)
-        report.per_action_recall = [
-            float(r) for r in per_action_recall(preds, truths, report.n_actions)
-        ]
-        report.n_predictions = len(preds)
-    errs = np.asarray(time_abs_errors, dtype=float)
-    if errs.size:
-        report.mae_hours = float(errs.mean())
-    report.n_filtered = int(errs.size)
+    fill_scores(report, preds, truths, time_abs_errors, report.n_actions)
     report.accuracy_se = _std_error([w.accuracy for w in report.windows])
     report.macro_recall_se = _std_error([w.macro_recall for w in report.windows])
     report.mae_se = _std_error([w.mae_hours for w in report.windows])
     return report
 
 
+def _nan_to_none(x):
+    if isinstance(x, float) and math.isnan(x):
+        return None
+    if isinstance(x, list):
+        return [_nan_to_none(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _nan_to_none(v) for k, v in x.items()}
+    return x
+
+
 def report_to_dict(report: EvalReport) -> dict:
     """JSON-ready representation; NaN becomes None so the output is strict JSON."""
-
-    def clean(x):
-        if isinstance(x, float) and math.isnan(x):
-            return None
-        return x
-
-    def window_dict(w: WindowResult) -> dict:
-        return {
-            "train_start": w.train_start,
-            "train_end": w.train_end,
-            "test_end": w.test_end,
-            "n_predictions": w.n_predictions,
-            "accuracy": clean(w.accuracy),
-            "macro_recall": clean(w.macro_recall),
-            "per_action_recall": [clean(r) for r in w.per_action_recall],
-            "n_time_predictions": w.n_time_predictions,
-            "n_filtered": w.n_filtered,
-            "mae_hours": clean(w.mae_hours),
-            "n_censored": w.n_censored,
-            "n_coldstart": w.n_coldstart,
-        }
-
-    return {
-        "horizon_filter": report.horizon_filter,
-        "n_actions": report.n_actions,
-        "accuracy": clean(report.accuracy),
-        "macro_recall": clean(report.macro_recall),
-        "per_action_recall": [clean(r) for r in report.per_action_recall],
-        "mae_hours": clean(report.mae_hours),
-        "n_predictions": report.n_predictions,
-        "n_filtered": report.n_filtered,
-        "n_censored": report.n_censored,
-        "n_coldstart": report.n_coldstart,
-        "accuracy_se": clean(report.accuracy_se),
-        "macro_recall_se": clean(report.macro_recall_se),
-        "mae_se": clean(report.mae_se),
-        "windows": [window_dict(w) for w in report.windows],
-    }
+    return _nan_to_none(dataclasses.asdict(report))
 
 
 def report_csv_rows(name: str, report: EvalReport) -> list[dict]:

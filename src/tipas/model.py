@@ -8,9 +8,10 @@ The rate at which user ``u`` performs action ``a`` at time ``t`` (hours) is
                 + sum_{t' < t, a' = a} phi[c', a] * gamma[c', a] * kappa[c', a]
                       * d^(kappa[c', a] - 1) * exp(-gamma[c', a] * d^kappa[c', a])
 
-where ``d = t - t'``, ``tod(t)`` is the hour-of-day of ``t``, ``N`` is the
-Gaussian density (not wrapped at midnight), and ``c'`` is the time-of-day
-category of the earlier event.  All times are hours, all rates per hour.
+where ``d = t - t'``, ``tod(t) = t mod 24`` is the hour-of-day of ``t``,
+``N`` is the Gaussian density (not wrapped at midnight), and ``c'`` is the
+time-of-day category of the earlier event.  All times are hours, all rates
+per hour, and a day is ``DAY_HOURS`` = 24 hours.
 
 Everything here is immutable and side-effect free, so evaluations are safe
 to run from any number of threads.
@@ -26,6 +27,10 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError
+
+# Length of a day in hours.  Every time in the package is in hours, and the
+# background and the time-of-day categories repeat with this period.
+DAY_HOURS = 24.0
 
 # Floor on event-time gaps: two events logged at the same instant would make
 # the Weibull kernel diverge for kappa < 1, so ties are pushed apart by this
@@ -133,14 +138,13 @@ class ModelStructure:
     """Structural constants: action count, mixture count, day layout, horizon.
 
     ``tod_edges`` are the boundaries of the half-open time-of-day windows;
-    they must start at 0 and end at ``day_length`` so the windows partition
-    one day exactly.
+    they must start at 0 and end at ``DAY_HOURS`` (24) so the windows
+    partition one day exactly.
     """
 
     n_actions: int
     n_mixtures: int
     tod_edges: tuple[float, ...] = (0.0, 6.0, 12.0, 18.0, 24.0)
-    day_length: float = 24.0
     horizon: float = 720.0
 
     def __post_init__(self) -> None:
@@ -148,16 +152,12 @@ class ModelStructure:
             raise InvalidInputError("n_actions must be >= 1")
         if self.n_mixtures < 1:
             raise InvalidInputError("n_mixtures must be >= 1")
-        if self.day_length <= 0 or not math.isfinite(self.day_length):
-            raise InvalidInputError("day_length must be positive and finite")
         if self.horizon <= 0 or not math.isfinite(self.horizon):
             raise InvalidInputError("horizon must be positive and finite")
         edges = tuple(float(e) for e in self.tod_edges)
         object.__setattr__(self, "tod_edges", edges)
-        if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != self.day_length:
-            raise InvalidInputError(
-                f"tod_edges must run from 0 to day_length, got {edges}"
-            )
+        if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != DAY_HOURS:
+            raise InvalidInputError(f"tod_edges must run from 0 to 24, got {edges}")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise InvalidInputError(f"tod_edges must be strictly increasing, got {edges}")
 
@@ -166,24 +166,24 @@ class ModelStructure:
         return len(self.tod_edges) - 1
 
 
-def time_of_day(t: float, day_length: float = 24.0) -> float:
-    """Hours since the most recent midnight, in [0, day_length)."""
+def time_of_day(t: float) -> float:
+    """Hours since the most recent midnight, in [0, 24)."""
     t = _check_finite("time", t)
     if t < 0:
         raise InvalidInputError(f"time must be >= 0, got {t}")
-    return t % day_length
+    return t % DAY_HOURS
 
 
 def tod_categories(structure: ModelStructure, times) -> np.ndarray:
     """Index of the time-of-day window containing each of ``times``."""
     edges = np.asarray(structure.tod_edges)
-    c = np.searchsorted(edges, np.asarray(times) % structure.day_length, side="right") - 1
+    c = np.searchsorted(edges, np.asarray(times) % DAY_HOURS, side="right") - 1
     return np.clip(c, 0, structure.n_categories - 1).astype(np.int64, copy=False)
 
 
 def tod_category(t: float, structure: ModelStructure) -> int:
     """Index of the time-of-day window containing ``time_of_day(t)``."""
-    return int(tod_categories(structure, time_of_day(t, structure.day_length)))
+    return int(tod_categories(structure, time_of_day(t)))
 
 
 class RatePeaks(NamedTuple):
@@ -264,8 +264,8 @@ class ModelParams:
             raise InvalidInputError("sigma must be strictly positive")
         if np.any(self.kappa <= 0):
             raise InvalidInputError("kappa must be strictly positive")
-        if np.any(self.mu <= 0) or np.any(self.mu >= s.day_length):
-            raise InvalidInputError("mu must lie strictly inside (0, day_length)")
+        if np.any(self.mu <= 0) or np.any(self.mu >= DAY_HOURS):
+            raise InvalidInputError("mu must lie strictly inside (0, 24)")
         if len(set(users)) != len(users):
             raise InvalidInputError("duplicate user keys")
         object.__setattr__(self, "_user_index", {u: i for i, u in enumerate(users)})
@@ -311,7 +311,7 @@ def zero_params(
 ) -> ModelParams:
     """All-zero parameter set (mu centered, sigma/kappa at 1) for tests and builders."""
     a, z, c = structure.n_actions, structure.n_mixtures, structure.n_categories
-    mu = np.full((a, z), structure.day_length / 2.0)
+    mu = np.full((a, z), DAY_HOURS / 2.0)
     return ModelParams(
         structure=structure,
         users=tuple(users),
@@ -365,7 +365,7 @@ def clamp_gaps(dt: np.ndarray) -> np.ndarray:
 
 def _background_vector(params: ModelParams, t: float) -> np.ndarray:
     """Background intensity of every action at time t, shape (A,)."""
-    tod = time_of_day(t, params.structure.day_length)
+    tod = time_of_day(t)
     dens = gaussian_density(tod, params.mu, params.sigma)  # (A, Z)
     return (params.beta * dens).sum(axis=1)
 

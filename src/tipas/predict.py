@@ -11,16 +11,10 @@ import numpy as np
 
 from .errors import CensoredPredictionError, InvalidInputError
 from .inference import FitConfig, fit
-from .metrics import (
-    EvalReport,
-    WindowResult,
-    accuracy,
-    finalize_report,
-    macro_recall,
-    per_action_recall,
-)
+from .metrics import EvalReport, WindowResult, fill_scores, finalize_report
 from .likelihood import compensator_increments
 from .model import (
+    DAY_HOURS,
     HistoryPrefix,
     ModelParams,
     UserHistory,
@@ -30,6 +24,9 @@ from .model import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Time predictions cap the wait at CENSOR_FACTOR times the horizon filter.
+CENSOR_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,8 @@ class ActionPrediction:
 @dataclass(frozen=True)
 class TimePrediction:
     """Predicted next-event time and the probability S(span) that no event
-    arrives within the prediction span."""
+    arrives within the prediction span of ``CENSOR_FACTOR`` times the
+    horizon filter; ``n_censored`` holds that probability."""
 
     time: float
     n_censored: float
@@ -97,10 +95,10 @@ def _survival_nodes(
     resolved by pieces no longer than 12 of its standard deviations, but it
     only needs them near its bump: a piece is split evenly to 12 sigma of
     the narrowest component whose mu +- 6 sigma on that day it overlaps.  A
-    component with 36 sigma < day_length also ends pieces at mu +- 6 sigma:
-    two more pieces a day cost less than splitting its whole day.
+    component with 36 sigma < 24 h also ends pieces at mu +- 6 sigma: two
+    more pieces a day cost less than splitting its whole day.
     """
-    day = params.structure.day_length
+    day = DAY_HOURS
     first_midnight = (math.floor(start / day) + 1.0) * day - start
     day_starts = np.arange(first_midnight - day, span, day)
     bump = (params.beta > 0) & (12.0 * params.sigma < day)
@@ -159,20 +157,20 @@ def predict_next_time(
     history: HistoryPrefix,
     *,
     horizon_filter: float = 12.0,
-    censor_factor: float = 10.0,
 ) -> TimePrediction:
     """Mean first-arrival time (any action) after the end of the history.
 
-    Waits are capped at ``span = censor_factor * horizon_filter`` hours, so
-    the mean wait is E[min(X, span)], the integral over [0, span] of the
-    survival curve S(s) = exp(-(Lambda(t_last + s) - Lambda(t_last))) of the
-    process with no further events (time rescaling).  It is computed by
+    Waits are capped at ``span = CENSOR_FACTOR * horizon_filter`` hours
+    (120 h at the default filter of 12 h), so the mean wait is
+    E[min(X, span)], the integral over [0, span] of the survival curve
+    S(s) = exp(-(Lambda(t_last + s) - Lambda(t_last))) of the process with
+    no further events (time rescaling).  It is computed by
     quadrature with no random numbers.  ``n_censored`` is the censored mass
     S(span); when it is 1 no event can occur and there is no prediction.
     """
-    span = censor_factor * horizon_filter
+    span = CENSOR_FACTOR * horizon_filter
     if not span > 0:
-        raise InvalidInputError("censor_factor * horizon_filter must be positive")
+        raise InvalidInputError("horizon_filter must be positive")
     times, actions, cats = _prefix_arrays(params.structure, history, math.inf)
     return _next_time_arrays(params, params.alpha_row(user), times, actions, cats, span)
 
@@ -189,12 +187,10 @@ class TipasPredictor:
         params: ModelParams,
         name: str = "tipas",
         horizon_filter: float = 12.0,
-        censor_factor: float = 10.0,
     ) -> None:
         self.params = params
         self.name = name
         self.horizon_filter = horizon_filter
-        self.censor_factor = censor_factor
 
     def predict_action(self, user, times, actions, t) -> int:
         cats = tod_categories(self.params.structure, times)
@@ -205,7 +201,7 @@ class TipasPredictor:
 
     def predict_time(self, user, times, actions) -> float:
         cats = tod_categories(self.params.structure, times)
-        span = self.censor_factor * self.horizon_filter
+        span = CENSOR_FACTOR * self.horizon_filter
         try:
             pred = _next_time_arrays(
                 self.params, self.params.alpha_row(user), times, actions, cats, span
@@ -219,18 +215,12 @@ def make_tipas_factory(
     config: FitConfig,
     name: str = "tipas",
     horizon_filter: float = 12.0,
-    censor_factor: float = 10.0,
 ):
     """Factory for the evaluation driver: fits on each training window."""
 
     def factory(train: Sequence[UserHistory], T: float) -> TipasPredictor:
         params, _ = fit(train, replace(config, horizon=T))
-        return TipasPredictor(
-            params,
-            name=name,
-            horizon_filter=horizon_filter,
-            censor_factor=censor_factor,
-        )
+        return TipasPredictor(params, name=name, horizon_filter=horizon_filter)
 
     return factory
 
@@ -265,7 +255,6 @@ def rolling_window_eval(
     """
     if len(windows) < 2:
         raise InvalidInputError("need at least two windows")
-    day = 24.0
     report = EvalReport(horizon_filter=horizon_filter, n_actions=n_actions)
     by_user = {h.user: h for h in sorted(histories, key=lambda h: h.user)}
 
@@ -276,7 +265,7 @@ def rolling_window_eval(
     for pair_idx, ((tr_s, tr_e), (te_s, te_e)) in enumerate(
         zip(windows[:-1], windows[1:])
     ):
-        if tr_s % day != 0:
+        if tr_s % DAY_HOURS != 0:
             logger.warning(
                 "window start %.3f is not a day boundary; time-of-day patterns shift",
                 tr_s,
@@ -329,16 +318,7 @@ def rolling_window_eval(
                     elif t_loc - times[k - 1] <= horizon_filter:
                         w_errors.append(abs(pred_t - t_loc))
 
-        if w_preds:
-            w.n_predictions = len(w_preds)
-            w.accuracy = accuracy(w_preds, w_truths)
-            w.macro_recall = macro_recall(w_preds, w_truths, n_actions)
-            w.per_action_recall = [
-                float(r) for r in per_action_recall(w_preds, w_truths, n_actions)
-            ]
-        if w_errors:
-            w.mae_hours = float(np.mean(w_errors))
-        w.n_filtered = len(w_errors)
+        fill_scores(w, w_preds, w_truths, w_errors, n_actions)
         report.windows.append(w)
         all_preds.extend(w_preds)
         all_truths.extend(w_truths)

@@ -4,10 +4,10 @@ Ogata thinning against a dominating rate that holds until the next event:
 the preference and background parts at their global peaks, the exponential
 part at its (decreasing) current value, and each Weibull term at its
 current value, or at its mode peak while the mode still lies ahead.  The
-rate is rebuilt after every candidate and every ``bound_window`` hours
-without one.  Candidates arrive at the dominating rate and are accepted
-with probability ``lam(t) / lam_bar``; accepted candidates pick their
-action proportionally to the per-action intensities.
+rate is rebuilt after every candidate and after every hour without one.
+Candidates arrive at the dominating rate and are accepted with probability
+``lam(t) / lam_bar``; accepted candidates pick their action proportionally
+to the per-action intensities.
 
 One :class:`_ThinningState` per stream carries the rate forward in time, so
 no evaluation rescans the history: the exponential part is an A x A state
@@ -29,6 +29,7 @@ from .errors import (
     ThinningBoundError,
 )
 from .model import (
+    DAY_HOURS,
     TIE_EPSILON,
     EventRecord,
     HistoryPrefix,
@@ -41,21 +42,18 @@ from .model import (
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls.  The dominating rate holds until the next event;
-    ``bound_window`` (hours) only sets how often it is rebuilt while no
-    candidate arrives, which changes the draws but not their distribution.
-    A rebuild costs O(A^2 + live Weibull sources), not O(history)."""
+    """Simulation controls: hours to draw, the seed of the stream and a cap
+    on the event count.  The dominating rate holds until the next event and
+    is rebuilt after every hour without a candidate; a rebuild costs
+    O(A^2 + live Weibull sources), not O(history)."""
 
     horizon: float
     seed: int = 0
     max_events: int = 10**6
-    bound_window: float = 1.0
 
     def __post_init__(self) -> None:
         if self.horizon <= 0 or not math.isfinite(self.horizon):
             raise InvalidInputError("horizon must be positive and finite")
-        if self.bound_window <= 0:
-            raise InvalidInputError("bound_window must be positive")
         if self.max_events < 1:
             raise InvalidInputError("max_events must be >= 1")
 
@@ -208,7 +206,7 @@ class _ThinningState:
 
     def intensity(self, t: float) -> np.ndarray:
         """Intensity of every action at ``t``, shape (A,)."""
-        z = (t % self._structure.day_length - self._mu) / self._sigma
+        z = (t % DAY_HOURS - self._mu) / self._sigma
         lam = (
             self._alpha_row
             + (self._bg_peak * np.exp(-0.5 * z * z)).sum(axis=1)
@@ -318,7 +316,8 @@ def simulate(
     seed_history: HistoryPrefix,
     config: SimConfig,
 ) -> list[EventRecord]:
-    """Draw events on (t_last, t_last + horizon] given ``seed_history``."""
+    """Draw events on (t_last, t_last + horizon] given ``seed_history``,
+    from the Philox stream of ``config.seed``."""
     times, actions, cats = _prefix_arrays(params.structure, seed_history, math.inf)
     start = float(times[-1]) if times.size else 0.0
     rng = _stream_rng(config.seed)
@@ -332,7 +331,6 @@ def simulate(
         config.horizon,
         rng,
         max_events=config.max_events,
-        window=config.bound_window,
     )
     return [EventRecord(action=a, t=t) for t, a in zip(out_t, out_a)]
 

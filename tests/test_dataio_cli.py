@@ -1,5 +1,6 @@
 """File formats, model persistence, parameter export, and the CLI surface."""
 
+import csv
 import json
 import logging
 import math
@@ -13,14 +14,22 @@ from tipas import (
     UnsupportedVersionError,
     UserHistory,
     VocabularyError,
+    background_intensity,
     load_dataset,
     load_model,
     save_histories,
     save_model,
+    save_spec,
 )
 from tipas.cli import main
 from tipas.dataio import export_params
-from tipas.model import ModelParams, ModelStructure, zero_params
+from tipas.model import (
+    ModelParams,
+    ModelStructure,
+    exp_kernel,
+    weibull_kernel,
+    zero_params,
+)
 
 from conftest import random_params
 
@@ -118,6 +127,11 @@ class TestModelFile:
         with pytest.raises(UnsupportedVersionError):
             load_model(path)
 
+    def test_writes_a_24_hour_day(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(random_params(np.random.default_rng(0)), ("a", "b"), path)
+        assert json.loads(path.read_text())["structure"]["day_length"] == 24.0
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"kind": "something-else", "schema_version": 1}')
@@ -148,6 +162,33 @@ class TestExportParams:
             cat, lo, hi, action, d, v = row.split(",")
             expect = 0.4 * 0.3 * math.exp(-0.3 * float(d))
             assert float(v) == pytest.approx(expect, rel=1e-12)
+
+    def test_values_are_the_model_kernels(self, tmp_path):
+        # every exported value is the model's own function at the exported
+        # point (a re-derived formula misses it by up to ~1e-12 relative)
+        p = random_params(np.random.default_rng(3), kappa_range=(0.5, 3.0))
+        names = ("a", "b")
+        long_path, short_path, bg_path = export_params(
+            p, names, tmp_path, delta_max=30.0, delta_step=0.25
+        )
+
+        def rows(path):
+            return list(csv.reader(path.open()))[1:]
+
+        for cat, lo, hi, action, d, v in rows(long_path):
+            c, a = int(cat), names.index(action)
+            assert (float(lo), float(hi)) == p.structure.tod_edges[c : c + 2]
+            expect = weibull_kernel(float(d), p.phi[c, a], p.gamma[c, a], p.kappa[c, a])
+            assert float(v) == pytest.approx(expect, rel=1e-14, abs=0.0)
+        for src, dst, d, v in rows(short_path):
+            i, j = names.index(src), names.index(dst)
+            expect = exp_kernel(float(d), p.theta[i, j], p.omega[i, j])
+            assert float(v) == pytest.approx(expect, rel=1e-14, abs=0.0)
+        tods = [float(tod) for _, tod, _ in rows(bg_path)]
+        assert tods[0] == 0.0 and tods[-1] == pytest.approx(23.9)
+        for action, tod, v in rows(bg_path):
+            expect = background_intensity(p, names.index(action), float(tod))
+            assert float(v) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
     def test_all_three_files_written(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -277,6 +318,28 @@ class TestCli:
         assert main(args + ["--out", str(r1)]) == 0
         assert main(args + ["--out", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_files_with_another_day_length_rejected(self, tmp_path, capsys):
+        # consistent for a 12-hour day (edges and means halved), but every
+        # time in the package is in hours of a 24-hour day
+        spec, vocab = _small_spec()
+        model, spec_path, data = (tmp_path / n for n in ("m.json", "s.json", "d.jsonl"))
+        save_model(spec.params, vocab, model)
+        save_spec(spec, vocab, spec_path)
+        save_histories([UserHistory("t", (EventRecord(0, 1.0),))], vocab, data)
+        for path, key in ((model, None), (spec_path, "model")):
+            doc = json.loads(path.read_text())
+            inner = doc[key] if key else doc
+            inner["structure"]["day_length"] = 12.0
+            inner["structure"]["tod_edges"] = [e / 2 for e in inner["structure"]["tod_edges"]]
+            inner["params"]["mu"] = [[m / 2 for m in row] for row in inner["params"]["mu"]]
+            path.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--at", "5"]) == 2
+        assert "day_length must be 24 hours, got 12.0" in capsys.readouterr().err
+        assert main(["generate", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "g.jsonl")]) == 2
+        assert "day_length must be 24 hours, got 12.0" in capsys.readouterr().err
 
     def test_predict_time_zero_model_writes_null(self, tmp_path):
         # no event can ever occur: the prediction is censored, not an error

@@ -31,6 +31,8 @@ from tipas import (
 )
 from tipas.inference import (
     KAPPA_MAX,
+    PARAM_FLOOR,
+    SIGMA_FLOOR,
     background_objective,
     exponential_objective,
     holdout_loglik,
@@ -135,8 +137,8 @@ class TestMStepClosed:
         p = build_params(alpha=0.3, horizon=10.0)
         h = [UserHistory("u", (EventRecord(0, 1.0),))]
         resp = e_step(p, h)
-        _, beta, _, _ = m_step_closed(resp, p, 10.0, param_floor=1e-8)
-        assert beta[0, 0] == 1e-8
+        _, beta, _, _ = m_step_closed(resp, p, 10.0)
+        assert beta[0, 0] == PARAM_FLOOR == 1e-8
 
     def test_theta_large_horizon_limit(self):
         # with T - t huge the denominator approaches the source-event count
@@ -227,8 +229,8 @@ def block_problems(resp, p, T):
 
     def background_params(x):
         mu, sigma = x[:, 0].reshape(p.mu.shape), x[:, 1].reshape(p.mu.shape)
-        mass = background_mass(p.mu, p.sigma, T, s.day_length)
-        beta = p.beta * mass / background_mass(mu, sigma, T, s.day_length)
+        mass = background_mass(p.mu, p.sigma, T)
+        beta = p.beta * mass / background_mass(mu, sigma, T)
         return replace(p, mu=mu, sigma=sigma, beta=beta)
 
     return [
@@ -392,7 +394,7 @@ class TestFit:
         t = 9.0 + 24.0 * np.arange(10) + np.linspace(0.0, 0.01, 10)
         daily = [UserHistory.from_arrays("u", t, np.zeros(10, dtype=int))]
         params, report = fit(daily, FitConfig(n_mixtures=1, horizon=240.0))
-        assert params.sigma[0, 0] == FitConfig().sigma_floor
+        assert params.sigma[0, 0] == SIGMA_FLOOR
         assert (report.sigma_at_floor, report.weights_at_floor) == (1, 5)
         assert report.kappa_at_max == 0
 
