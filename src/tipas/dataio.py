@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DataFormatError,
+    InvalidInputError,
     UnsupportedVersionError,
     VocabularyError,
 )
@@ -369,8 +370,12 @@ def export_params(
     ``theta * omega * exp(-omega d)`` per action pair; background densities
     sample the Gaussian-mixture rate over one day per action, every
     ``TOD_STEP`` hours.  Each value is the model's own kernel function at
-    that point.
+    that point.  The deltas need finite ``0 < delta_step <= delta_max``.
     """
+    if not (math.isfinite(delta_max) and 0.0 < delta_step <= delta_max):
+        raise InvalidInputError(
+            f"need finite 0 < delta_step <= delta_max, got {delta_step} and {delta_max}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     s = params.structure

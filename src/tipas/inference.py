@@ -39,12 +39,11 @@ from .errors import (
 from .likelihood import (
     LogLikValue,
     _assemble_loglik,
-    background_mass,
     event_contributions,
     log_likelihood,
     tail_masses,
 )
-from .model import DAY_HOURS, ModelParams, ModelStructure, UserHistory
+from .model import DAY_HOURS, ModelParams, ModelStructure, UserHistory, background_mass
 
 logger = logging.getLogger(__name__)
 

@@ -8,7 +8,7 @@ The integral (compensator) has a closed form at any horizon:
 
     T sum alpha  +  U sum beta * mass  +  sum theta * Q  +  sum phi * R
 
-``background_mass`` gives ``mass``, the integral of each unit-weight
+``model.background_mass`` gives ``mass``, the integral of each unit-weight
 Gaussian component over [0, T]: its truncated day mass
 ``(erf(mu / (sqrt(2) sigma)) + erf((24 - mu) / (sqrt(2) sigma))) / 2`` once
 per whole day plus its truncated mass up to the time of day at which T ends.
@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erf
 
 from ._panel import EventPanel, build_panel, check_histories
 from .errors import InvalidInputError, NumericalFailureError
@@ -39,7 +38,9 @@ from .model import (
     DAY_HOURS,
     ModelParams,
     UserHistory,
+    _background_total,
     _background_vector,
+    _StreamState,
     exp_kernel,
     gaussian_density,
     tod_categories,
@@ -106,21 +107,6 @@ def event_contributions(
     return a0, bg, q_raw, r_raw, lam
 
 
-def background_mass(mu, sigma, upto) -> np.ndarray:
-    """Integral over [0, upto] of each unit-weight background component.
-
-    Broadcasts over ``mu``, ``sigma`` and ``upto``.  Whole days contribute
-    their truncated day mass and the partial day its truncated-Gaussian mass
-    up to the remaining time of day; that second term is exactly zero when
-    ``upto`` is a whole number of days.
-    """
-    full_days, rem = upto // DAY_HOURS, upto % DAY_HOURS
-    s = math.sqrt(2.0) * sigma
-    below = erf(mu / s)
-    whole = full_days * (below + erf((DAY_HOURS - mu) / s))
-    return (whole + (below + erf((rem - mu) / s))) / 2.0
-
-
 def tail_masses(
     params: ModelParams, tails: np.ndarray, actions: np.ndarray, cats: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -146,13 +132,6 @@ def tail_masses(
         minlength=params.structure.n_categories * n_act,
     ).reshape(-1, n_act)
     return q, r
-
-
-def _background_total(params: ModelParams, upto) -> np.ndarray:
-    """Integral of the summed background rate over [0, upto], elementwise."""
-    upto = np.asarray(upto, dtype=np.float64)[..., None, None]
-    mass = background_mass(params.mu, params.sigma, upto)
-    return (params.beta * mass).sum(axis=(-2, -1))
 
 
 def _compensator(
@@ -327,52 +306,17 @@ def integrated_total_intensity(
     )
 
 
-def compensator_increments(
-    params: ModelParams,
-    alpha_row: np.ndarray,
-    times: np.ndarray,
-    actions: np.ndarray,
-    cats: np.ndarray,
-    start: float,
-    lags: np.ndarray,
-) -> np.ndarray:
-    """``Lambda(start + s) - Lambda(start)`` for every lag ``s`` in ``lags``,
-    given that no event follows the array-form history before ``start + s``.
-
-    Every event must lie at or before ``start``.  The exponential tails are
-    summed through the decayed state ``D[a', a] = sum over events of action
-    a' of exp(-omega[a', a] (start - t))``, so they cost O(n A + lags A^2).
-    """
-    lags = np.asarray(lags, dtype=np.float64)
-    bg = _background_total(params, np.concatenate(([start], start + lags)))
-    out = lags * float(alpha_row.sum()) + (bg[1:] - bg[0])
-    if times.size:
-        d = start - times
-        n_act = params.structure.n_actions
-        state = np.eye(n_act)[actions].T @ np.exp(-params.omega[actions] * d[:, None])
-        decay = -np.expm1(-params.omega.reshape(-1, 1) * lags)
-        out += (params.theta * state).reshape(-1) @ decay
-        ph = params.phi[cats, actions]
-        ga = params.gamma[cats, actions]
-        ka = params.kappa[cats, actions]
-        with np.errstate(over="ignore"):
-            now = np.exp(-ga * d**ka)
-            last = np.exp(-ga * (d + lags.max(initial=0.0)) ** ka)
-            # a Weibull term that adds below 1e-17 up to the longest lag
-            # changes no increment by more than rounding, so it is skipped
-            live = ph * (now - last) > 1e-17
-            later = np.exp(
-                -ga[live, None] * (d[live, None] + lags) ** ka[live, None]
-            )
-        out += ph[live] @ (now[live, None] - later)
-    return out
-
-
 def rescaled_interarrivals(params: ModelParams, history: UserHistory) -> np.ndarray:
     """Compensator increments between consecutive events of one user.
 
     Under the generating model these are i.i.d. Exp(1) (time-rescaling), so
-    they feed straight into a Kolmogorov-Smirnov goodness-of-fit test.
+    they feed straight into a Kolmogorov-Smirnov goodness-of-fit test.  One
+    stream state walks the history, adding each event after its increment.
     """
-    at = [integrated_total_intensity(params, history, t) for t in history.times().tolist()]
-    return np.diff(at, prepend=0.0)
+    none = np.empty(0, dtype=np.int64)
+    state = _StreamState(params, params.alpha_row(history.user), np.empty(0), none, none)
+    out = []
+    for t, a in zip(history.times().tolist(), history.actions().tolist()):
+        out.append(float(state.increments(np.array([t - state.clock]))[0]))
+        state.add(t, a)
+    return np.array(out)

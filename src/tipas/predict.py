@@ -12,7 +12,6 @@ import numpy as np
 from .errors import CensoredPredictionError, InvalidInputError
 from .inference import FitConfig, fit
 from .metrics import EvalReport, WindowResult, fill_scores, finalize_report
-from .likelihood import compensator_increments
 from .model import (
     DAY_HOURS,
     HistoryPrefix,
@@ -20,6 +19,7 @@ from .model import (
     UserHistory,
     _intensity_vector_arrays,
     _prefix_arrays,
+    _StreamState,
     tod_categories,
 )
 
@@ -130,25 +130,22 @@ def _survival_nodes(
     return lags.reshape(-1), (half * _GL_WEIGHTS).reshape(-1)
 
 
-def _next_time_arrays(
-    params: ModelParams,
-    alpha_row: np.ndarray,
-    times: np.ndarray,
-    actions: np.ndarray,
-    cats: np.ndarray,
-    span: float,
-) -> TimePrediction:
-    start = float(times[-1]) if times.size else 0.0
-    lags, weights = _survival_nodes(params, start, span)
-    surv = np.exp(
-        -compensator_increments(
-            params, alpha_row, times, actions, cats, start, np.append(lags, span)
-        )
-    )
+def _next_time(state: _StreamState, span: float) -> TimePrediction:
+    start = state.clock
+    lags, weights = _survival_nodes(state.params, start, span)
+    surv = np.exp(-state.increments(np.append(lags, span)))
     censored = float(surv[-1])
     if censored == 1.0:
         raise CensoredPredictionError(f"no event can occur within {span:.1f}h")
     return TimePrediction(time=start + float(weights @ surv[:-1]), n_censored=censored)
+
+
+def _check_horizon_filter(horizon_filter: float) -> None:
+    if not 0.0 < CENSOR_FACTOR * horizon_filter < math.inf:
+        raise InvalidInputError(
+            f"horizon_filter must be positive and finite, as must the span "
+            f"{CENSOR_FACTOR:g} times it, got {horizon_filter}"
+        )
 
 
 def predict_next_time(
@@ -164,15 +161,16 @@ def predict_next_time(
     (120 h at the default filter of 12 h), so the mean wait is
     E[min(X, span)], the integral over [0, span] of the survival curve
     S(s) = exp(-(Lambda(t_last + s) - Lambda(t_last))) of the process with
-    no further events (time rescaling).  It is computed by
-    quadrature with no random numbers.  ``n_censored`` is the censored mass
-    S(span); when it is 1 no event can occur and there is no prediction.
+    no further events (time rescaling).  The stream state built from the
+    history gives the compensator increments, and a quadrature integrates
+    S with no random numbers.  ``n_censored`` is the censored mass S(span);
+    when it is 1 no event can occur and there is no prediction.  The filter
+    must be positive and finite.
     """
-    span = CENSOR_FACTOR * horizon_filter
-    if not span > 0:
-        raise InvalidInputError("horizon_filter must be positive")
+    _check_horizon_filter(horizon_filter)
     times, actions, cats = _prefix_arrays(params.structure, history, math.inf)
-    return _next_time_arrays(params, params.alpha_row(user), times, actions, cats, span)
+    state = _StreamState(params, params.alpha_row(user), times, actions, cats)
+    return _next_time(state, CENSOR_FACTOR * horizon_filter)
 
 
 class TipasPredictor:
@@ -201,11 +199,9 @@ class TipasPredictor:
 
     def predict_time(self, user, times, actions) -> float:
         cats = tod_categories(self.params.structure, times)
-        span = CENSOR_FACTOR * self.horizon_filter
+        state = _StreamState(self.params, self.params.alpha_row(user), times, actions, cats)
         try:
-            pred = _next_time_arrays(
-                self.params, self.params.alpha_row(user), times, actions, cats, span
-            )
+            pred = _next_time(state, CENSOR_FACTOR * self.horizon_filter)
         except CensoredPredictionError:
             return math.nan
         return pred.time
@@ -252,7 +248,10 @@ def rolling_window_eval(
     training window onward (test events included) without refitting; the
     time axis is shifted so each training window starts at zero.  Windows
     should start on day boundaries or the time-of-day structure would shift.
+    ``horizon_filter`` must be positive and finite; it is checked before
+    any fit.
     """
+    _check_horizon_filter(horizon_filter)
     if len(windows) < 2:
         raise InvalidInputError("need at least two windows")
     report = EvalReport(horizon_filter=horizon_filter, n_actions=n_actions)

@@ -7,12 +7,9 @@ current value, or at its mode peak while the mode still lies ahead.  The
 rate is rebuilt after every candidate and after every hour without one.
 Candidates arrive at the dominating rate and are accepted with probability
 ``lam(t) / lam_bar``; accepted candidates pick their action proportionally
-to the per-action intensities.
-
-One :class:`_ThinningState` per stream carries the rate forward in time, so
-no evaluation rescans the history: the exponential part is an A x A state
-decayed from the last event (Ozaki's recursion), and the Weibull part is a
-list of the sources that can still move the rate.
+to the per-action intensities.  Both rates come from the model's stream
+state (``model._StreamState``), which carries them from event to event
+without rescanning the history.
 """
 
 from __future__ import annotations
@@ -29,14 +26,12 @@ from .errors import (
     ThinningBoundError,
 )
 from .model import (
-    DAY_HOURS,
-    TIE_EPSILON,
     EventRecord,
     HistoryPrefix,
     ModelParams,
     UserHistory,
     _prefix_arrays,
-    tod_categories,
+    _StreamState,
 )
 
 
@@ -89,150 +84,6 @@ def _stream_rng(seed: int, *salt: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *salt))))
 
 
-class _ThinningState:
-    """The dominating rate and the intensity of one stream, moved forward in time.
-
-    Built once from a history in O(n A^2); afterwards ``bound(t)`` and
-    ``intensity(t)`` cost O(A^2 + live Weibull sources) and ``add(t, a)``
-    appends an event, copying only the live sources.  Times passed to the
-    three methods must not decrease and must not precede the history.
-    """
-
-    def __init__(
-        self,
-        params: ModelParams,
-        alpha_row: np.ndarray,
-        times: np.ndarray,
-        actions: np.ndarray,
-        cats: np.ndarray,
-    ) -> None:
-        peaks = params._rate_peaks
-        self._structure = params.structure
-        self._alpha_row = alpha_row
-        # background: the bound takes the sum of the Gaussians' peaks and the
-        # intensity scales each peak by its exp(-z^2 / 2)
-        self._mu, self._sigma = params.mu, params.sigma
-        self._bg_peak = peaks.background
-        self._const = float(alpha_row.sum()) + peaks.background_total
-
-        # Exponential part: ``_mass[a', a]`` sums the terms of the folded
-        # sources of action a', decayed to ``_clock``, the time of the last
-        # event.  A source is folded in once an evaluation lies at least
-        # TIE_EPSILON after it; until then it sits in ``_recent`` and, as
-        # clamp_gaps does, counts at the gap TIE_EPSILON (row ``_tied``).
-        self._theta_omega, self._tied = peaks.theta_omega, peaks.tied
-        self._tied_total = peaks.tied_total
-        self._neg_omega = -params.omega
-        self._clock = float(times[-1]) if times.size else 0.0
-        gaps = self._clock - times
-        m = int(np.count_nonzero(gaps >= TIE_EPSILON))  # times are sorted
-        src = actions[:m]
-        by_source = np.eye(len(self._neg_omega))[src].T  # (A, m) one-hot
-        self._mass = self._theta_omega * (
-            by_source @ np.exp(self._neg_omega[src] * gaps[:m, None])
-        )
-        self._recent = list(zip(times[m:].tolist(), actions[m:].tolist()))
-
-        # Weibull part: the live sources, one column each in ``_live``: time,
-        # then the constants of their cell (RatePeaks.weibull).  Cells whose
-        # kernel is identically 0 add exactly nothing and are left out.
-        self._cells, self._live_cell = peaks.weibull, peaks.weibull_live
-        keep = self._live_cell[cats, actions]
-        self._set_live(
-            np.vstack([times[keep], self._cells[:, cats[keep], actions[keep]]]),
-            actions[keep],
-        )
-        # Past its mode a Weibull term only falls.  Below 2^-80 of the
-        # constant part even a million such terms move the rate by under
-        # 1e-18 of itself, so the first bound after each added event drops
-        # them (a one-off bound on the history skips the pruning).
-        self._negligible = self._const * 2.0**-80
-        self._pruned = True
-
-    def _set_live(self, live: np.ndarray, actions: np.ndarray) -> None:
-        self._live, self._live_act = live, actions
-        (
-            self._t_src,
-            self._kappa,
-            self._kappa_m1,
-            self._neg_gamma,
-            self._scale,
-            self._mode,
-            self._peak,
-        ) = self._live
-
-    def _decay(self, t: float) -> np.ndarray:
-        """Factors that decay ``_mass`` from the clock to ``t``, after folding
-        in the recent sources that ``t`` lies at least TIE_EPSILON after."""
-        recent = []
-        for t_j, a_j in self._recent:
-            if t - t_j >= TIE_EPSILON:
-                self._mass[a_j] += self._theta_omega[a_j] * np.exp(
-                    self._neg_omega[a_j] * (self._clock - t_j)
-                )
-            else:
-                recent.append((t_j, a_j))
-        self._recent = recent
-        return np.exp(self._neg_omega * (t - self._clock))
-
-    def _weibull(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Gaps to the live Weibull sources and their terms at ``t``: the
-        arithmetic of clamp_gaps and weibull_kernel, with the per-cell
-        factors precomputed."""
-        dt = np.maximum(t - self._t_src, TIE_EPSILON)
-        log_dt = np.log(dt)
-        power = np.exp(np.minimum(self._kappa * log_dt, 709.0))
-        return dt, self._scale * np.exp(self._kappa_m1 * log_dt + self._neg_gamma * power)
-
-    def bound(self, t: float) -> float:
-        """A rate dominating the total intensity from ``t`` until the next event."""
-        decay = self._decay(t)
-        bound = self._const + (
-            float(np.vdot(self._mass, decay))
-            + sum(self._tied_total[a_j] for _, a_j in self._recent)
-        )
-        if not self._live_act.size:
-            return bound
-        dt, h = self._weibull(t)
-        rising = dt < self._mode
-        # decreasing beyond the mode, so the window sup sits at the left edge
-        bound += float(np.where(rising, self._peak, h).sum())
-        if not self._pruned:
-            self._pruned = True
-            kept = rising | (h > self._negligible)
-            if not kept.all():
-                self._set_live(self._live[:, kept], self._live_act[kept])
-        return bound
-
-    def intensity(self, t: float) -> np.ndarray:
-        """Intensity of every action at ``t``, shape (A,)."""
-        z = (t % DAY_HOURS - self._mu) / self._sigma
-        lam = (
-            self._alpha_row
-            + (self._bg_peak * np.exp(-0.5 * z * z)).sum(axis=1)
-            + (self._mass * self._decay(t)).sum(axis=0)
-        )
-        for _, a_j in self._recent:
-            lam += self._tied[a_j]
-        if self._live_act.size:
-            np.add.at(lam, self._live_act, self._weibull(t)[1])
-        return lam
-
-    def add(self, t: float, a: int) -> None:
-        """Append an event of action ``a`` at time ``t``."""
-        self._mass *= np.exp(self._neg_omega * (t - self._clock))
-        self._clock = t
-        self._recent.append((t, a))
-        c = int(tod_categories(self._structure, t))
-        if self._live_cell[c, a]:
-            column = np.concatenate([[t], self._cells[:, c, a]])
-            self._set_live(
-                np.column_stack([self._live, column]),
-                np.concatenate([self._live_act, [a]]),
-            )
-            self._pruned = False
-
-
 def intensity_upper_bound(
     params: ModelParams,
     user: str,
@@ -249,7 +100,7 @@ def intensity_upper_bound(
     if window <= 0:
         raise InvalidInputError("window must be positive")
     times, actions, cats = _prefix_arrays(params.structure, history, t)
-    return _ThinningState(params, params.alpha_row(user), times, actions, cats).bound(t)
+    return _StreamState(params, params.alpha_row(user), times, actions, cats).bound(t)
 
 
 def _simulate_stream(
@@ -267,7 +118,7 @@ def _simulate_stream(
     stop_after: int | None = None,
 ) -> tuple[list[float], list[int]]:
     s = params.structure
-    state = _ThinningState(params, alpha_row, times, actions, cats)
+    state = _StreamState(params, alpha_row, times, actions, cats)
     out_t: list[float] = []
     out_a: list[int] = []
     end = start + horizon

@@ -11,6 +11,7 @@ import pytest
 from tipas import (
     DataFormatError,
     EventRecord,
+    InvalidInputError,
     UnsupportedVersionError,
     UserHistory,
     VocabularyError,
@@ -190,6 +191,19 @@ class TestExportParams:
             expect = background_intensity(p, names.index(action), float(tod))
             assert float(v) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "delta_max, delta_step",
+        [(36.0, 0.0), (36.0, -1.0), (math.inf, 0.05), (36.0, math.nan), (math.nan, 0.05),
+         (1.0, 2.0)],
+    )
+    def test_bad_delta_grid_rejected(self, tmp_path, delta_max, delta_step):
+        p = random_params(np.random.default_rng(1))
+        with pytest.raises(InvalidInputError):
+            export_params(
+                p, ("a", "b"), tmp_path, delta_max=delta_max, delta_step=delta_step
+            )
+        assert not list(tmp_path.iterdir())
+
     def test_all_three_files_written(self, tmp_path):
         rng = np.random.default_rng(1)
         p = random_params(rng)
@@ -340,6 +354,38 @@ class TestCli:
         assert main(["generate", "--spec", str(spec_path),
                      "--out", str(tmp_path / "g.jsonl")]) == 2
         assert "day_length must be 24 hours, got 12.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan", "1e308"])
+    def test_bad_horizon_filter_exits_2(self, tmp_path, monkeypatch, value):
+        # checked before any fit: evaluate writes no report and fits nothing
+        import tipas.predict
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the horizon filter was checked")
+
+        monkeypatch.setattr(tipas.predict, "fit", no_fit)
+        vocab = ("a", "b")
+        model, data = tmp_path / "m.json", tmp_path / "d.jsonl"
+        save_model(random_params(np.random.default_rng(2), users=("u",)), vocab, model)
+        events = (EventRecord(0, 1.0), EventRecord(1, 30.0), EventRecord(0, 50.0))
+        save_histories([UserHistory("u", events)], vocab, data)
+        out, report = tmp_path / "t.json", tmp_path / "r.json"
+        assert main(["predict-time", "--model", str(model), "--data", str(data),
+                     "--horizon-filter", value, "--out", str(out)]) == 2
+        assert main(["evaluate", "--data", str(data), "--window-days", "1",
+                     "--baselines", "copy", "--horizon-filter", value,
+                     "--out", str(report)]) == 2
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--delta-step", "0"], ["--delta-step", "-1"], ["--delta-max", "inf"]]
+    )
+    def test_bad_export_grid_exits_2(self, tmp_path, flags):
+        model, curves = tmp_path / "m.json", tmp_path / "curves"
+        save_model(random_params(np.random.default_rng(3)), ("a", "b"), model)
+        args = ["export-params", "--model", str(model), "--out-dir", str(curves), *flags]
+        assert main(args) == 2
+        assert not curves.exists()
 
     def test_predict_time_zero_model_writes_null(self, tmp_path):
         # no event can ever occur: the prediction is censored, not an error

@@ -39,7 +39,8 @@ from tipas.inference import (
     select_n_mixtures,
     weibull_objective,
 )
-from tipas.likelihood import background_mass, tail_masses
+from tipas.likelihood import tail_masses
+from tipas.model import background_mass
 
 from conftest import random_histories, random_params
 

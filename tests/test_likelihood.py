@@ -24,6 +24,7 @@ from tipas import (
     rescaled_interarrivals,
     zero_params,
 )
+from tipas.model import TIE_EPSILON, _StreamState, tod_categories
 from tipas.simulate import params_for_users
 
 from conftest import random_histories, random_params
@@ -250,3 +251,89 @@ class TestIntegratedIntensity:
         assert z.size >= 1500
         res = stats.kstest(z, "expon")
         assert res.pvalue > 0.01
+
+
+def params_with_idle_cells(rng: np.random.Generator) -> ModelParams:
+    """Random parameters, kappa in [0.4, 3], with some omega = 0 cells."""
+    p = random_params(rng, n_actions=3, kappa_range=(0.4, 3.0))
+    omega = np.where(rng.random((3, 3)) < 0.3, 0.0, p.omega)
+    omega[0, 1] = 0.0
+    return replace(p, omega=omega)
+
+
+def history_with_close_end(rng: np.random.Generator) -> UserHistory:
+    """Events across midnight, then up to three more at exact ties or gaps
+    below TIE_EPSILON after the last; sometimes no events at all."""
+    n = int(rng.integers(0, 9))
+    times = np.sort(rng.uniform(10.0, 40.0, n))
+    if n:
+        close = [0.0, 1e-9, 0.5 * TIE_EPSILON, 0.999 * TIE_EPSILON]
+        gaps = rng.choice(close, int(rng.integers(0, 4)))
+        times = np.append(times, times[-1] + np.cumsum(gaps))
+    return UserHistory.from_arrays("u1", times, rng.integers(0, 3, times.size))
+
+
+def old_rescaled_interarrivals(params: ModelParams, history: UserHistory) -> np.ndarray:
+    """The per-event loop ``rescaled_interarrivals`` replaced: O(n^2)."""
+    at = [integrated_total_intensity(params, history, t) for t in history.times().tolist()]
+    return np.diff(at, prepend=0.0)
+
+
+class TestStreamStateIncrements:
+    """The stream state's compensator from its clock against the closed form."""
+
+    LAGS = np.concatenate(
+        ([1e-9, 1e-7, TIE_EPSILON, 1e-3, 0.25, 1.0], np.linspace(3.0, 120.0, 9))
+    )
+
+    def test_matches_integrated_intensity(self):
+        # the error is measured against Lambda(start + s), not against the
+        # increment: at a lag of 1e-6 h the difference of two closed forms
+        # cancels to ~1e-8 relative, while both agree to ~1e-16 of Lambda
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            p = params_with_idle_cells(rng)
+            h = history_with_close_end(rng)
+            times, actions = h.times(), h.actions()
+            state = _StreamState(
+                p, p.alpha[0], times, actions, tod_categories(p.structure, times)
+            )
+            start = state.clock
+            got = state.increments(self.LAGS)
+            base = integrated_total_intensity(p, h, start)
+            total = np.array(
+                [integrated_total_intensity(p, h, start + s) for s in self.LAGS]
+            )
+            np.testing.assert_array_less(np.abs(got - (total - base)), 1e-12 * total)
+
+    def test_added_events_match_a_fresh_state(self):
+        rng = np.random.default_rng(42)
+        for _ in range(30):
+            p = params_with_idle_cells(rng)
+            h = history_with_close_end(rng)
+            times, actions = h.times(), h.actions()
+            cats = tod_categories(p.structure, times)
+            walked = _StreamState(p, p.alpha[0], times[:0], actions[:0], cats[:0])
+            for t, a in zip(times.tolist(), actions.tolist()):
+                walked.add(t, a)
+            fresh = _StreamState(p, p.alpha[0], times, actions, cats)
+            np.testing.assert_allclose(
+                walked.increments(self.LAGS), fresh.increments(self.LAGS), rtol=1e-12, atol=0.0
+            )
+
+    def test_rescaled_interarrivals_match_per_event_loop(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            p = params_with_idle_cells(rng)
+            n = int(rng.integers(1, 30))
+            times = np.sort(rng.uniform(0.0, 72.0, n))
+            # exact ties and gaps below TIE_EPSILON inside the history
+            times[1::4] = times[0::4][: times[1::4].size]
+            times[2::5] = times[1::5][: times[2::5].size] + 0.5 * TIE_EPSILON
+            times = np.sort(times)
+            h = UserHistory.from_arrays("u1", times, rng.integers(0, 3, n))
+            want = old_rescaled_interarrivals(p, h)
+            at = np.cumsum(want)
+            got = rescaled_interarrivals(p, h)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * at)

@@ -22,7 +22,8 @@ from tipas import (
 )
 
 from tipas.model import _intensity_vector_arrays, tod_categories
-from tipas.simulate import _simulate_stream, _stream_rng, _ThinningState
+from tipas.model import _StreamState as _ThinningState
+from tipas.simulate import _simulate_stream, _stream_rng
 
 import thinning_oracle
 from conftest import random_histories, random_params
