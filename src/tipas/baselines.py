@@ -1,11 +1,11 @@
 """Reference predictors: copy, Markov chains, constant-rate Poisson models,
 and interval-based time predictors.
 
-Every model exposes the same surface the evaluation driver uses:
-``predict_action(user, times, actions, t)`` and/or
-``predict_time(user, times, actions)`` where ``times``/``actions``
-are the user's full event prefix (train plus earlier test events).  Time
-predictions return ``nan`` when the model has nothing to say for that
+Every model exposes the prefix surface of the evaluation driver (TIPAS
+walks a stream state instead): ``predict_action(user, times, actions, t)``
+and/or ``predict_time(user, times, actions)`` where ``times``/``actions``
+are views of the user's full event prefix (train plus earlier test events).
+Time predictions return ``nan`` when the model has nothing to say for that
 prefix; action ties always break toward the lowest action id.
 """
 

@@ -179,8 +179,9 @@ def time_of_day(t: float) -> float:
 def tod_categories(structure: ModelStructure, times) -> np.ndarray:
     """Index of the time-of-day window containing each of ``times``."""
     edges = np.asarray(structure.tod_edges)
+    # the edges start at 0, so only a remainder rounded up to 24 needs a cap
     c = np.searchsorted(edges, np.asarray(times) % DAY_HOURS, side="right") - 1
-    return np.clip(c, 0, structure.n_categories - 1).astype(np.int64, copy=False)
+    return np.minimum(c, structure.n_categories - 1).astype(np.int64, copy=False)
 
 
 def tod_category(t: float, structure: ModelStructure) -> int:
@@ -199,6 +200,7 @@ class RatePeaks(NamedTuple):
     tied: np.ndarray  # (A, A) exponential kernel at lag TIE_EPSILON
     tied_total: list[float]  # row sums of ``tied``, per source action
     one_hot: np.ndarray  # (A, A) identity: row a' is the one-hot of action a'
+    omega_min: np.ndarray  # (A,) smallest omega of each source action
     # (7, C, A) Weibull kernel constants: kappa, kappa - 1, -gamma,
     # phi * gamma * kappa, the mode (0 where the kernel only falls, that is
     # kappa <= 1 or gamma = 0), the kernel's value there (at TIE_EPSILON
@@ -297,6 +299,7 @@ class ModelParams:
             tied=tied,
             tied_total=tied.sum(axis=1).tolist(),
             one_hot=one_hot,
+            omega_min=self.omega.min(axis=1),
             weibull=weibull,
             weibull_live=weibull[3] > 0,
         )
@@ -433,9 +436,10 @@ class _StreamState:
 
     Built once from a history in O(n A^2); afterwards each call costs
     O(A^2 + live Weibull sources) per time or lag, and ``add(t, a)`` appends
-    an event, copying only the live sources.  ``clock`` is the time of the
-    last event (0 without one); later times must not decrease.  ``params``
-    are the parameters it was built from.
+    an event, copying only the live sources, which the next ``bound`` or
+    ``intensity`` prunes (see ``_negligible``).  ``clock`` is the time of
+    the last event (0 without one); later times must not decrease.
+    ``params`` are the parameters it was built from.
     """
 
     def __init__(
@@ -468,8 +472,11 @@ class _StreamState:
         gaps = self.clock - times
         m = int(np.count_nonzero(gaps >= TIE_EPSILON))  # times are sorted
         src = actions[:m]
+        # skip sources whose every term underflows to 0 (exp is slow on them)
+        keep = gaps[:m] * peaks.omega_min[src] <= 746.0
+        src, gaps = src[keep], gaps[:m][keep]
         self._mass = self._theta_omega * (
-            peaks.one_hot[src].T @ np.exp(self._neg_omega[src] * gaps[:m, None])
+            peaks.one_hot[src].T @ np.exp(self._neg_omega[src] * gaps[:, None])
         )
         self._recent = list(zip(times[m:].tolist(), actions[m:].tolist()))
 
@@ -485,8 +492,8 @@ class _StreamState:
         self._set_live(live, a_src)
         # Past its mode a Weibull term only falls.  Below 2^-80 of the
         # constant part even a million such terms move the rate by under
-        # 1e-18 of itself, so the first bound after each added event drops
-        # them (a one-off bound on the history skips the pruning).
+        # 1e-18 of itself, so the first evaluation (bound or intensity) after
+        # each added event drops them; one on the built history does not.
         self._negligible = self._const * 2.0**-80
         self._pruned = True
 
@@ -518,6 +525,13 @@ class _StreamState:
         power = np.exp(np.minimum(self._kappa * log_dt, 709.0))
         return dt, self._scale * np.exp(self._kappa_m1 * log_dt + self._neg_gamma * power)
 
+    def _prune(self, dt: np.ndarray, h: np.ndarray) -> None:
+        if not self._pruned:
+            self._pruned = True
+            kept = (dt < self._mode) | (h > self._negligible)
+            if not kept.all():
+                self._set_live(self._live[:, kept], self._live_act[kept])
+
     def bound(self, t: float) -> float:
         """A rate dominating the total intensity from ``t`` until the next event."""
         decay = self._decay(t)
@@ -528,14 +542,9 @@ class _StreamState:
         if not self._live_act.size:
             return bound
         dt, h = self._weibull(t)
-        rising = dt < self._mode
         # decreasing beyond the mode, so the window sup sits at the left edge
-        bound += float(np.where(rising, self._peak, h).sum())
-        if not self._pruned:
-            self._pruned = True
-            kept = rising | (h > self._negligible)
-            if not kept.all():
-                self._set_live(self._live[:, kept], self._live_act[kept])
+        bound += float(np.where(dt < self._mode, self._peak, h).sum())
+        self._prune(dt, h)
         return bound
 
     def intensity(self, t: float) -> np.ndarray:
@@ -549,7 +558,9 @@ class _StreamState:
         for _, a_j in self._recent:
             lam += self._tied[a_j]
         if self._live_act.size:
-            np.add.at(lam, self._live_act, self._weibull(t)[1])
+            dt, h = self._weibull(t)
+            np.add.at(lam, self._live_act, h)
+            self._prune(dt, h)
         return lam
 
     def increments(self, lags: np.ndarray) -> np.ndarray:

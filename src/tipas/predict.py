@@ -174,8 +174,8 @@ def predict_next_time(
 
 
 class TipasPredictor:
-    """Fitted model wrapped in the evaluation-driver interface; prefixes
-    arrive as time and action arrays."""
+    """Fitted model for the evaluation driver, which walks one stream state
+    per user (``walk``) instead of rescanning prefixes."""
 
     supports_action = True
     supports_time = True
@@ -190,21 +190,43 @@ class TipasPredictor:
         self.name = name
         self.horizon_filter = horizon_filter
 
-    def predict_action(self, user, times, actions, t) -> int:
-        cats = tod_categories(self.params.structure, times)
-        lam = _intensity_vector_arrays(
-            self.params, self.params.alpha_row(user), times, actions, cats, t
-        )
-        return int(np.argmax(lam))
+    def walk(self, user, times, actions) -> _TipasWalk:
+        p = self.params
+        walk = _TipasWalk(p, p.alpha_row(user), times, actions, tod_categories(p.structure, times))
+        walk.span = CENSOR_FACTOR * self.horizon_filter
+        return walk
 
-    def predict_time(self, user, times, actions) -> float:
-        cats = tod_categories(self.params.structure, times)
-        state = _StreamState(self.params, self.params.alpha_row(user), times, actions, cats)
+
+class _TipasWalk(_StreamState):
+    """A user's stream state answering the driver: the mean first arrival
+    within ``span`` of the last event (NaN when censored), the top action."""
+
+    def action(self, t: float) -> int:
+        return int(np.argmax(self.intensity(t)))
+
+    def time(self) -> float:
         try:
-            pred = _next_time(state, CENSOR_FACTOR * self.horizon_filter)
+            return _next_time(self, self.span).time
         except CensoredPredictionError:
             return math.nan
-        return pred.time
+
+
+class _PrefixWalk:
+    """The walk of a model that answers from prefixes: each query passes
+    views of the events before it."""
+
+    def __init__(self, model, user, times, actions, n: int) -> None:
+        self.model, self.user, self.times, self.actions, self.n = model, user, times, actions, n
+
+    def action(self, t: float) -> int:
+        n = self.n
+        return int(self.model.predict_action(self.user, self.times[:n], self.actions[:n], t))
+
+    def time(self) -> float:
+        return self.model.predict_time(self.user, self.times[: self.n], self.actions[: self.n])
+
+    def add(self, t: float, a: int) -> None:
+        self.n += 1
 
 
 def make_tipas_factory(
@@ -250,6 +272,10 @@ def rolling_window_eval(
     should start on day boundaries or the time-of-day structure would shift.
     ``horizon_filter`` must be positive and finite; it is checked before
     any fit.
+
+    ``model.walk(user, times, actions)`` starts from a user's training events
+    and each test event gets ``time()`` (after an earlier event), ``action(t)``
+    and ``add(t, a)``; models without ``walk`` answer from prefix views.
     """
     _check_horizon_filter(horizon_filter)
     if len(windows) < 2:
@@ -303,19 +329,21 @@ def rolling_window_eval(
                 continue
             if not n_train:
                 w.n_coldstart += 1
-            # each test event's prefix is a view of everything before it
+            walk = (model.walk(u, times[:n_train], acts[:n_train]) if hasattr(model, "walk")
+                    else _PrefixWalk(model, u, times, acts, n_train))
             for k in range(n_train, times.size):
-                t_loc = float(times[k])
-                if does_action:
-                    w_preds.append(int(model.predict_action(u, times[:k], acts[:k], t_loc)))
-                    w_truths.append(int(acts[k]))
+                t_loc, a_loc = float(times[k]), int(acts[k])
                 if does_time and k:
                     w.n_time_predictions += 1
-                    pred_t = model.predict_time(u, times[:k], acts[:k])
+                    pred_t = walk.time()
                     if pred_t is None or math.isnan(pred_t):
                         w.n_censored += 1
                     elif t_loc - times[k - 1] <= horizon_filter:
                         w_errors.append(abs(pred_t - t_loc))
+                if does_action:
+                    w_preds.append(walk.action(t_loc))
+                    w_truths.append(a_loc)
+                walk.add(t_loc, a_loc)
 
         fill_scores(w, w_preds, w_truths, w_errors, n_actions)
         report.windows.append(w)

@@ -1,6 +1,8 @@
 """Action/time prediction and the rolling-window driver."""
 
 import math
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -26,9 +28,10 @@ from tipas import (
     rolling_window_eval,
     zero_params,
 )
-from tipas.model import tod_categories
-from tipas.predict import TipasPredictor, _survival_nodes
-from tipas.simulate import _simulate_stream
+from tipas.dataio import load_spec
+from tipas.model import TIE_EPSILON, _intensity_vector_arrays, _StreamState, tod_categories
+from tipas.predict import CENSOR_FACTOR, TipasPredictor, _next_time, _survival_nodes
+from tipas.simulate import _simulate_stream, params_for_users
 
 from conftest import random_histories, random_params
 
@@ -344,6 +347,152 @@ class TestRollingWindowEval:
         rep = rolling_window_eval(hs, factory, windows, n_actions=2)
         assert rep.n_predictions > 0
         assert rep.windows[0].n_time_predictions > 0
+
+
+class PrefixOracle:
+    """The per-prefix TIPAS predictor the streamed driver replaced: every
+    query rescans its prefix, and every time query builds a fresh state."""
+
+    def __init__(self, params, horizon_filter=12.0):
+        self.params, self.span = params, CENSOR_FACTOR * horizon_filter
+
+    def predict_action(self, user, times, actions, t):
+        p = self.params
+        cats = tod_categories(p.structure, times)
+        lam = _intensity_vector_arrays(p, p.alpha_row(user), times, actions, cats, t)
+        return int(np.argmax(lam))
+
+    def predict_time(self, user, times, actions):
+        p = self.params
+        cats = tod_categories(p.structure, times)
+        state = _StreamState(p, p.alpha_row(user), times, actions, cats)
+        try:
+            return _next_time(state, self.span).time
+        except CensoredPredictionError:
+            return math.nan
+
+
+class Recorded(TipasPredictor):
+    """TipasPredictor whose walks log every answer they give the driver."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.actions, self.times = [], []
+
+    def walk(self, user, times, actions):
+        inner, model = super().walk(user, times, actions), self
+
+        class Logged:
+            def action(self, t):
+                model.actions.append(inner.action(t))
+                return model.actions[-1]
+
+            def time(self):
+                model.times.append(inner.time())
+                return model.times[-1]
+
+            def add(self, t, a):
+                inner.add(t, a)
+
+        return Logged()
+
+
+class TestStreamedDriver:
+    """rolling_window_eval's walk against per-prefix rescans."""
+
+    WINDOWS = make_windows(0.0, 720.0, 240.0)
+
+    @staticmethod
+    def _draw():
+        """Four demo-spec users over 30 days with exact ties and gaps below
+        TIE_EPSILON, plus a user who starts in the second window and only
+        does actions without excitation kernels (3 and 4)."""
+        with resources.as_file(resources.files("tipas").joinpath("data/demo_spec.json")) as path:
+            spec, _ = load_spec(path)
+        hs = generate_synthetic(replace(spec, n_users=4, horizon=720.0, seed=4))
+        rng = np.random.default_rng(4)
+        out = []
+        for h in hs:
+            t, a = h.times(), h.actions()
+            picks = rng.choice(t.size, 12, replace=False)
+            near = t[picks] + np.resize([0.0, 0.5 * TIE_EPSILON, 0.999 * TIE_EPSILON], 12)
+            t = np.concatenate([t, near])
+            a = np.concatenate([a, rng.integers(0, 5, 12)])
+            order = np.argsort(t, kind="stable")
+            out.append(UserHistory.from_arrays(h.user, t[order], a[order]))
+        late = np.array([250.0, 251.5, 251.5, 251.5 + 0.5 * TIE_EPSILON, 300.0, 490.0, 495.0])
+        out.append(UserHistory.from_arrays("newcomer", late, [3, 4, 3, 4, 4, 3, 4]))
+        return spec.params, out
+
+    def _expected(self, oracle, hs):
+        """Per-event answers of the oracle on the driver's prefixes, and
+        the cold-start and censored counts."""
+        actions, times, cold = [], [], 0
+        for (tr_s, tr_e), (te_s, te_e) in zip(self.WINDOWS[:-1], self.WINDOWS[1:]):
+            for h in sorted(hs, key=lambda h: h.user):
+                t, a = h.times(), h.actions()
+                keep = ((t >= tr_s) & (t < tr_e)) | ((t >= te_s) & (t < te_e))
+                n_train = int(np.count_nonzero(keep & (t < tr_e)))
+                t, a = t[keep] - tr_s, a[keep]
+                if t.size == n_train:
+                    continue
+                cold += n_train == 0
+                for k in range(n_train, t.size):
+                    if k:
+                        times.append(oracle.predict_time(h.user, t[:k], a[:k]))
+                    actions.append(oracle.predict_action(h.user, t[:k], a[:k], t[k]))
+        return actions, np.array(times), cold, int(np.isnan(times).sum())
+
+    @pytest.mark.parametrize("background", [True, False])
+    def test_walk_matches_prefix_rescans(self, background):
+        truth, hs = self._draw()
+        if not background:
+            # no background and no preference for the newcomer: its time
+            # predictions are censored and its actions degenerate
+            truth = replace(truth, alpha=np.full((1, 5), 0.02), beta=np.zeros((5, 1)))
+        params = params_for_users(truth, [h.user for h in hs[:-1]])
+        model = Recorded(params)
+        rep = rolling_window_eval(hs, lambda train, T: model, self.WINDOWS, n_actions=5)
+        actions, times, cold, censored = self._expected(PrefixOracle(params), hs)
+        assert model.actions == actions
+        np.testing.assert_allclose(model.times, times, rtol=1e-9, atol=0.0)
+        assert rep.n_coldstart == cold == 1
+        assert rep.n_censored == censored == (0 if background else 6)
+
+    def test_walk_drops_spent_weibull_sources(self):
+        # a daily recurrence with kappa = 14 is spent about 1.5 days after
+        # its source; the walk only evaluates intensities, never the bound
+        s = ModelStructure(n_actions=1, n_mixtures=1, horizon=9600.0)
+        p = ModelParams(
+            structure=s,
+            users=("u",),
+            alpha=np.full((1, 1), 0.05),
+            beta=np.full((1, 1), 0.5),
+            mu=np.full((1, 1), 12.0),
+            sigma=np.full((1, 1), 2.0),
+            theta=np.zeros((1, 1)),
+            omega=np.ones((1, 1)),
+            phi=np.full((4, 1), 0.7),
+            gamma=np.full((4, 1), 4.4e-20),
+            kappa=np.full((4, 1), 14.0),
+        )
+        times = np.arange(0.0, 9600.0, 8.0)
+        actions = np.zeros(times.size, dtype=np.int64)
+        cats = tod_categories(s, times)
+        state = _StreamState(p, p.alpha[0], times[:0], actions[:0], cats[:0])
+        sizes = []
+        for k, t in enumerate(times.tolist()):
+            lam = state.intensity(t)
+            if k % 100 == 0:
+                want = _intensity_vector_arrays(p, p.alpha[0], times[:k], actions[:k], cats[:k], t)
+                np.testing.assert_allclose(lam, want, rtol=1e-12, atol=0.0)
+            sizes.append(state._live_act.size)
+            state.add(t, 0)
+        assert len(sizes) > 1000 and max(sizes) < 10
+        # 0.1 h after the last source its term is ~1e-31, yet still rising
+        # toward a peak a day later, so it stays
+        state.intensity(times[-1] + 0.1)
+        assert times[-1] in state._t_src
 
 
 class TestMakeWindows:
