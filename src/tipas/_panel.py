@@ -19,6 +19,12 @@ from .model import DAY_HOURS, ModelStructure, UserHistory, clamp_gaps, tod_categ
 
 @dataclass(frozen=True)
 class EventPanel:
+    """Per-event arrays and the event pairs.  The panel owns each pair's
+    parameter cell, a flat row-major index into the (A, A) exponential
+    parameters (``params.theta.ravel()[panel.sp_cell]``) or the (C, A)
+    Weibull ones.  No EM code reads ``sp_src`` or ``lp_src``; they stay
+    because the benchmark tracer counts the pairs by their size."""
+
     structure: ModelStructure
     T: float
     users: tuple[str, ...]
@@ -36,15 +42,13 @@ class EventPanel:
     sp_src: np.ndarray
     sp_dst: np.ndarray
     sp_dt: np.ndarray
-    sp_a_src: np.ndarray
-    sp_a_dst: np.ndarray
+    sp_cell: np.ndarray  # a_src * A + a_dst
 
     # same-action subset, length L
     lp_src: np.ndarray
     lp_dst: np.ndarray
     lp_dt: np.ndarray
-    lp_c_src: np.ndarray
-    lp_a: np.ndarray
+    lp_cell: np.ndarray  # c_src * A + a, c_src the earlier event's category
 
     @property
     def n_events(self) -> int:
@@ -108,10 +112,9 @@ def build_panel(
     ev_cat = tod_categories(structure, ev_tod)
 
     sp_dt = clamp_gaps(ev_t_arr[sp_dst_arr] - ev_t_arr[sp_src_arr])
-    sp_a_src = ev_a_arr[sp_src_arr]
-    sp_a_dst = ev_a_arr[sp_dst_arr]
-
-    same = sp_a_src == sp_a_dst
+    a_src, a_dst = ev_a_arr[sp_src_arr], ev_a_arr[sp_dst_arr]
+    same = a_src == a_dst
+    sp_cell = a_src * structure.n_actions + a_dst
     lp_src = sp_src_arr[same]
     lp_dst = sp_dst_arr[same]
 
@@ -126,13 +129,11 @@ def build_panel(
         sp_src=sp_src_arr,
         sp_dst=sp_dst_arr,
         sp_dt=sp_dt,
-        sp_a_src=sp_a_src,
-        sp_a_dst=sp_a_dst,
+        sp_cell=sp_cell,
         lp_src=lp_src,
         lp_dst=lp_dst,
         lp_dt=sp_dt[same],
-        lp_c_src=ev_cat[lp_src],
-        lp_a=ev_a_arr[lp_dst],
+        lp_cell=ev_cat[lp_src] * structure.n_actions + ev_a_arr[lp_dst],
     )
     for arr in arrays.values():
         arr.flags.writeable = False

@@ -14,7 +14,6 @@ import math
 import sys
 from dataclasses import replace
 from importlib import resources
-from pathlib import Path
 
 from . import dataio
 from .baselines import BASELINE_NAMES, make_baseline
@@ -28,7 +27,7 @@ from .errors import (
     ThinningBoundError,
 )
 from .inference import FitConfig, fit, select_n_mixtures
-from .metrics import report_csv_rows, report_to_dict
+from .metrics import CSV_COLUMNS, report_csv_rows, report_to_dict
 from .model import DAY_HOURS, ModelParams, UserHistory
 from .predict import (
     PredictionTask,
@@ -351,18 +350,7 @@ def _cmd_evaluate(args) -> int:
     }
     dataio.write_json(args.out, doc)
     if args.csv:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        fields = [
-            "model", "window", "accuracy", "macro_recall", "mae_hours",
-            "n_predictions", "n_filtered", "n_censored", "n_coldstart",
-        ]
-        writer = _csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(csv_rows)
-        Path(args.csv).write_text(buf.getvalue())
+        dataio.write_csv(args.csv, CSV_COLUMNS, csv_rows)
     return 0
 
 

@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -59,7 +59,9 @@ class LoadResult:
 
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.parent / f"tmp{secrets.token_hex(8)}.tmp"
+    # mode 0o666 lets the process umask set the permissions, as open() does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -333,13 +335,13 @@ def save_spec(spec: SyntheticSpec, vocabulary: Sequence[str], path: str | Path) 
 
 def load_spec(path: str | Path) -> tuple[SyntheticSpec, tuple[str, ...]]:
     doc = _load_doc(path, SPEC_KIND)
-    params = _params_from_dict(doc["model"], str(path))
-    spec = SyntheticSpec(
-        n_users=int(doc["n_users"]),
-        params=params,
-        horizon=float(doc["horizon"]),
-        seed=int(doc["seed"]),
-    )
+    try:
+        model, n_users = doc["model"], int(doc["n_users"])
+        horizon, seed = float(doc["horizon"]), int(doc["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed spec document ({exc})") from exc
+    params = _params_from_dict(model, str(path))
+    spec = SyntheticSpec(n_users=n_users, params=params, horizon=horizon, seed=seed)
     return spec, tuple(doc.get("actions", []))
 
 
@@ -348,7 +350,8 @@ def load_spec(path: str | Path) -> tuple[SyntheticSpec, tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """Write a header and ``rows`` (sequences of cells) as CSV, atomically."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -393,7 +396,7 @@ def export_params(
             for d, v in zip(deltas, vals):
                 long_rows.append([c, lo, hi, names[a], repr(float(d)), repr(float(v))])
     long_path = out_dir / "long_term_kernels.csv"
-    _write_csv(
+    write_csv(
         long_path,
         ["category", "window_start", "window_end", "action", "delta_hours", "value"],
         long_rows,
@@ -410,7 +413,7 @@ def export_params(
                     [names[a_src], names[a_dst], repr(float(d)), repr(float(v))]
                 )
     short_path = out_dir / "short_term_kernels.csv"
-    _write_csv(
+    write_csv(
         short_path, ["src_action", "dst_action", "delta_hours", "value"], short_rows
     )
 
@@ -422,6 +425,6 @@ def export_params(
         for a in range(s.n_actions):
             bg_rows.append([names[a], repr(float(tod)), repr(float(dens[i, a]))])
     bg_path = out_dir / "background_density.csv"
-    _write_csv(bg_path, ["action", "tod_hours", "value"], bg_rows)
+    write_csv(bg_path, ["action", "tod_hours", "value"], bg_rows)
 
     return [long_path, short_path, bg_path]

@@ -43,7 +43,9 @@ from .likelihood import (
     log_likelihood,
     tail_masses,
 )
-from .model import DAY_HOURS, ModelParams, ModelStructure, UserHistory, background_mass
+from .model import (
+    DAY_HOURS, ModelParams, ModelStructure, UserHistory, background_mass, check_positive,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -82,8 +84,7 @@ class FitConfig:
             raise InvalidInputError("n_mixtures must be >= 1")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
-        if self.rel_ll_tolerance <= 0:
-            raise InvalidInputError("rel_ll_tolerance must be positive")
+        check_positive("rel_ll_tolerance", self.rel_ll_tolerance)
 
 
 @dataclass
@@ -206,16 +207,12 @@ def m_step_closed(
     beta = _ratio(bg_num, U * background_mass(params.mu, params.sigma, T))
 
     q_den, r_den = tail_masses(params, panel.ev_tail, panel.ev_a, panel.ev_cat)
-    q_num = np.bincount(
-        panel.sp_a_src * A + panel.sp_a_dst, weights=resp.q, minlength=A * A
-    ).reshape(A, A)
+    q_num = np.bincount(panel.sp_cell, weights=resp.q, minlength=A * A).reshape(A, A)
     theta = _ratio(q_num, q_den)
     if np.any((q_den <= 0) & (q_num > 0)):
         logger.warning("theta update saw responsibility mass with empty denominator")
 
-    r_num = np.bincount(
-        panel.lp_c_src * A + panel.lp_a, weights=resp.r, minlength=C * A
-    ).reshape(C, A)
+    r_num = np.bincount(panel.lp_cell, weights=resp.r, minlength=C * A).reshape(C, A)
     phi = _ratio(r_num, r_den)
 
     return (
@@ -309,9 +306,8 @@ def exponential_objective(resp: Responsibilities, params: ModelParams):
     panel = resp.panel
     A = params.structure.n_actions
     n = A * A
-    pair_cell = panel.sp_a_src * A + panel.sp_a_dst
-    sq = np.bincount(pair_cell, weights=resp.q, minlength=n)
-    sq_dt = np.bincount(pair_cell, weights=resp.q * panel.sp_dt, minlength=n)
+    sq = np.bincount(panel.sp_cell, weights=resp.q, minlength=n)
+    sq_dt = np.bincount(panel.sp_cell, weights=resp.q * panel.sp_dt, minlength=n)
     live = panel.ev_tail > 0
     ev_cell = (panel.ev_a[live, None] * A + np.arange(A)).reshape(-1)
     log_s = np.repeat(np.log(panel.ev_tail[live]), A)
@@ -355,7 +351,7 @@ def weibull_objective(resp: Responsibilities, params: ModelParams):
     s = params.structure
     A = s.n_actions
     n = s.n_categories * A
-    pair_cell = panel.lp_c_src * A + panel.lp_a
+    pair_cell = panel.lp_cell
     r = resp.r
     log_dt = np.log(panel.lp_dt)
     sr = np.bincount(pair_cell, weights=r, minlength=n)
@@ -614,10 +610,6 @@ def fit(
     max_t = max(float(h.times()[-1]) for h in histories if len(h))
     max_a = max(int(h.actions().max()) for h in histories if len(h))
     n_actions = cfg.n_actions if cfg.n_actions is not None else max_a + 1
-    if max_a >= n_actions:
-        raise InvalidInputError(
-            f"data uses action {max_a} but n_actions={n_actions}"
-        )
     horizon = cfg.horizon
     if horizon is None:
         horizon = max(1.0, math.ceil(max_t / DAY_HOURS)) * DAY_HOURS

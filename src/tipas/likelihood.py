@@ -90,16 +90,13 @@ def event_contributions(
     mu = params.mu[panel.ev_a]
     sigma = params.sigma[panel.ev_a]
     bg = params.beta[panel.ev_a] * gaussian_density(panel.ev_tod[:, None], mu, sigma)
-    q_raw = exp_kernel(
-        panel.sp_dt,
-        params.theta[panel.sp_a_src, panel.sp_a_dst],
-        params.omega[panel.sp_a_src, panel.sp_a_dst],
-    )
+    sp, lp = panel.sp_cell, panel.lp_cell
+    q_raw = exp_kernel(panel.sp_dt, params.theta.ravel()[sp], params.omega.ravel()[sp])
     r_raw = weibull_kernel(
         panel.lp_dt,
-        params.phi[panel.lp_c_src, panel.lp_a],
-        params.gamma[panel.lp_c_src, panel.lp_a],
-        params.kappa[panel.lp_c_src, panel.lp_a],
+        params.phi.ravel()[lp],
+        params.gamma.ravel()[lp],
+        params.kappa.ravel()[lp],
     )
     lam = a0 + bg.sum(axis=1)
     lam += np.bincount(panel.sp_dst, weights=q_raw, minlength=n)
@@ -151,21 +148,11 @@ def _compensator(
     return total + float((params.theta * q).sum() + (params.phi * r).sum())
 
 
-def compensator_from_panel(params: ModelParams, panel: EventPanel) -> float:
-    return _compensator(
-        params, panel.T, panel.users, panel.ev_tail, panel.ev_a, panel.ev_cat
-    )
-
-
 def log_likelihood(
     params: ModelParams, histories: Sequence[UserHistory], T: float
 ) -> LogLikValue:
     """Exact log-likelihood of ``histories`` on [0, T] under ``params``."""
     panel = build_panel(histories, params.structure, T)
-    return log_likelihood_from_panel(params, panel)
-
-
-def log_likelihood_from_panel(params: ModelParams, panel: EventPanel) -> LogLikValue:
     _, _, _, _, lam = event_contributions(params, panel)
     return _assemble_loglik(params, panel, lam)
 
@@ -202,7 +189,9 @@ def _assemble_loglik(
             event_term = float(np.log(np.maximum(lam, LOG_FLOOR)).sum())
     else:
         event_term = float(np.log(lam).sum()) if lam.size else 0.0
-    comp = compensator_from_panel(params, panel)
+    comp = _compensator(
+        params, panel.T, panel.users, panel.ev_tail, panel.ev_a, panel.ev_cat
+    )
     if math.isnan(event_term) or math.isnan(comp):
         raise NumericalFailureError("log-likelihood evaluated to NaN")
     return LogLikValue(

@@ -164,34 +164,16 @@ def report_to_dict(report: EvalReport) -> dict:
     return _nan_to_none(dataclasses.asdict(report))
 
 
-def report_csv_rows(name: str, report: EvalReport) -> list[dict]:
-    """Flat plotting-friendly rows, one per window plus one pooled row."""
-    rows = []
-    for i, w in enumerate(report.windows):
-        rows.append(
-            {
-                "model": name,
-                "window": i,
-                "accuracy": w.accuracy,
-                "macro_recall": w.macro_recall,
-                "mae_hours": w.mae_hours,
-                "n_predictions": w.n_predictions,
-                "n_filtered": w.n_filtered,
-                "n_censored": w.n_censored,
-                "n_coldstart": w.n_coldstart,
-            }
-        )
-    rows.append(
-        {
-            "model": name,
-            "window": "pooled",
-            "accuracy": report.accuracy,
-            "macro_recall": report.macro_recall,
-            "mae_hours": report.mae_hours,
-            "n_predictions": report.n_predictions,
-            "n_filtered": report.n_filtered,
-            "n_censored": report.n_censored,
-            "n_coldstart": report.n_coldstart,
-        }
-    )
-    return rows
+# Columns of the evaluation CSV: the model, the window index (or "pooled"),
+# then the scores that WindowResult and EvalReport share, by field name.
+CSV_COLUMNS = (
+    "model", "window", "accuracy", "macro_recall", "mae_hours",
+    "n_predictions", "n_filtered", "n_censored", "n_coldstart",
+)
+
+
+def report_csv_rows(name: str, report: EvalReport) -> list[list]:
+    """Flat plotting-friendly rows in the order of ``CSV_COLUMNS``: one per
+    window, then one pooled row."""
+    scored = [*enumerate(report.windows), ("pooled", report)]
+    return [[name, w, *(getattr(r, c) for c in CSV_COLUMNS[2:])] for w, r in scored]

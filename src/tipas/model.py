@@ -49,6 +49,12 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+def check_positive(name: str, value: float) -> None:
+    """Reject a ``value`` that is not a positive finite number, NaN included."""
+    if not (value > 0 and math.isfinite(value)):
+        raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EventRecord:
     """One (action, timestamp) observation; ``t`` is hours since stream start."""
@@ -154,8 +160,7 @@ class ModelStructure:
             raise InvalidInputError("n_actions must be >= 1")
         if self.n_mixtures < 1:
             raise InvalidInputError("n_mixtures must be >= 1")
-        if self.horizon <= 0 or not math.isfinite(self.horizon):
-            raise InvalidInputError("horizon must be positive and finite")
+        check_positive("horizon", self.horizon)
         edges = tuple(float(e) for e in self.tod_edges)
         object.__setattr__(self, "tod_edges", edges)
         if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != DAY_HOURS:
@@ -479,6 +484,7 @@ class _StreamState:
             peaks.one_hot[src].T @ np.exp(self._neg_omega[src] * gaps[:, None])
         )
         self._recent = list(zip(times[m:].tolist(), actions[m:].tolist()))
+        self._decay_key = self._factors = None  # (t, clock) of the factors
 
         # Weibull part: the live sources, one column each in ``_live``: time,
         # then the constants of their cell (RatePeaks.weibull).  Cells whose
@@ -504,7 +510,9 @@ class _StreamState:
 
     def _decay(self, t: float) -> np.ndarray:
         """Factors that decay ``_mass`` from the clock to ``t``, after folding
-        in the recent sources that ``t`` lies at least TIE_EPSILON after."""
+        in the recent sources that ``t`` lies at least TIE_EPSILON after.
+        The factors of the last (t, clock) are kept: ``add(t, a)`` after a
+        query at ``t`` reuses them.  Callers must not write into them."""
         recent = []
         for t_j, a_j in self._recent:
             if t - t_j >= TIE_EPSILON:
@@ -514,7 +522,10 @@ class _StreamState:
             else:
                 recent.append((t_j, a_j))
         self._recent = recent
-        return np.exp(self._neg_omega * (t - self.clock))
+        if self._decay_key != (t, self.clock):
+            self._decay_key = (t, self.clock)
+            self._factors = np.exp(self._neg_omega * (t - self.clock))
+        return self._factors
 
     def _weibull(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Gaps to the live Weibull sources and their terms at ``t``: the

@@ -32,6 +32,7 @@ from .model import (
     UserHistory,
     _prefix_arrays,
     _StreamState,
+    check_positive,
 )
 
 
@@ -47,8 +48,7 @@ class SimConfig:
     max_events: int = 10**6
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0 or not math.isfinite(self.horizon):
-            raise InvalidInputError("horizon must be positive and finite")
+        check_positive("horizon", self.horizon)
         if self.max_events < 1:
             raise InvalidInputError("max_events must be >= 1")
 
@@ -69,8 +69,7 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n_users < 0:
             raise InvalidInputError("n_users must be >= 0")
-        if self.horizon <= 0:
-            raise InvalidInputError("horizon must be positive")
+        check_positive("horizon", self.horizon)
         if len(self.params.users) not in (0, 1, self.n_users):
             raise InvalidInputError(
                 "params must define 0, 1 or n_users alpha rows, got "
@@ -209,25 +208,21 @@ def params_for_users(params: ModelParams, users: Sequence[str]) -> ModelParams:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[UserHistory]:
-    """Independent per-user draws from the ground truth; reproducible per
-    (seed, user index)."""
-    params = spec.params
-    n_rows = len(params.users)
+    """Independent per-user draws from the ground truth, user ``i`` from the
+    Philox stream of ``(spec.seed, i)``.  The users are the spec's own when it
+    lists ``n_users``, else ``u00000``, ``u00001``, ..., bound to their alpha
+    rows by :func:`params_for_users`."""
+    users = spec.params.users
+    if len(users) != spec.n_users:
+        users = tuple(f"u{i:05d}" for i in range(spec.n_users))
+    params = params_for_users(spec.params, users)
     histories = []
     empty = np.empty(0)
     empty_i = np.empty(0, dtype=np.int64)
-    for i in range(spec.n_users):
-        if n_rows == spec.n_users:
-            user = params.users[i]
-            alpha_row = params.alpha[i]
-        else:
-            user = f"u{i:05d}"
-            alpha_row = params.alpha[0] if n_rows == 1 else np.zeros(
-                params.structure.n_actions
-            )
+    for i, user in enumerate(users):
         rng = _stream_rng(spec.seed, i)
         out_t, out_a = _simulate_stream(
-            params, alpha_row, empty, empty_i, empty_i, 0.0, spec.horizon, rng
+            params, params.alpha[i], empty, empty_i, empty_i, 0.0, spec.horizon, rng
         )
         histories.append(UserHistory.from_arrays(user, out_t, out_a))
     return histories

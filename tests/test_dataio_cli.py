@@ -4,6 +4,8 @@ import csv
 import json
 import logging
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from tipas import (
     save_spec,
 )
 from tipas.cli import main
-from tipas.dataio import export_params
+from tipas.dataio import export_params, write_json
 from tipas.model import (
     ModelParams,
     ModelStructure,
@@ -398,6 +400,82 @@ class TestCli:
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["predictions"]["u"] == {"hours": None, "censored_probability": 1.0}
+
+    @pytest.mark.parametrize(
+        "case", ["simulate-nan", "simulate-inf", "spec-nan", "tol-nan", "tol-inf"]
+    )
+    def test_non_finite_input_exits_2_before_any_draw_or_fit(
+        self, tmp_path, monkeypatch, capsys, case
+    ):
+        import tipas.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew or fitted before the input was checked")
+
+        monkeypatch.setattr(tipas.cli, "generate_synthetic", refuse)
+        monkeypatch.setattr(tipas.cli, "fit", refuse)
+        spec, vocab = _small_spec()
+        model, spec_path, data, out = (
+            tmp_path / n for n in ("m.json", "s.json", "d.jsonl", "out")
+        )
+        save_model(spec.params, vocab, model)
+        save_spec(spec, vocab, spec_path)
+        doc = json.loads(spec_path.read_text())
+        doc["horizon"] = math.nan
+        spec_path.write_text(json.dumps(doc))  # a literal NaN, as json writes it
+        save_histories([UserHistory("t", (EventRecord(0, 1.0),))], vocab, data)
+        simulate = ["simulate", "--model", str(model), "--out", str(out), "--horizon"]
+        fit = ["fit", "--data", str(data), "--out", str(out), "--tol"]
+        argv = {
+            "simulate-nan": simulate + ["nan"],
+            "simulate-inf": simulate + ["inf"],
+            "spec-nan": ["generate", "--spec", str(spec_path), "--out", str(out)],
+            "tol-nan": fit + ["nan"],
+            "tol-inf": fit + ["inf"],
+        }[case]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flaw", ["no-n_users", "no-model", "text-horizon"])
+    def test_malformed_spec_is_data_error_naming_the_file(self, tmp_path, capsys, flaw):
+        spec, vocab = _small_spec()
+        spec_path, out = tmp_path / "s.json", tmp_path / "g.jsonl"
+        save_spec(spec, vocab, spec_path)
+        doc = json.loads(spec_path.read_text())
+        if flaw == "no-n_users":
+            del doc["n_users"]
+        elif flaw == "no-model":
+            del doc["model"]
+        else:
+            doc["horizon"] = "abc"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{spec_path}: malformed spec document" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_output_files_follow_the_umask(self, tmp_path):
+        vocab = ("a", "b")
+        events = tuple(EventRecord(i % 2, 3.0 + 5.0 * i) for i in range(14))
+        doc, data = tmp_path / "doc.json", tmp_path / "d.jsonl"
+        report, table = tmp_path / "r.json", tmp_path / "r.csv"
+        old = os.umask(0o022)
+        try:
+            write_json(doc, {"a": 1})
+            save_histories([UserHistory("u", events)], vocab, data)
+            assert main(["evaluate", "--data", str(data), "--window-days", "1",
+                         "--baselines", "copy", "--no-time", "--mixtures", "1",
+                         "--max-iters", "2", "--out", str(report),
+                         "--csv", str(table)]) == 0
+        finally:
+            os.umask(old)
+        for path in (doc, data, report, table):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+        rows = list(csv.reader(table.open()))
+        assert rows[0][:3] == ["model", "window", "accuracy"]
+        assert rows[-1][1] == "pooled"
 
 
 def _small_spec(horizon: float = 480.0):
