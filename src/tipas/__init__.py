@@ -22,21 +22,13 @@ from .model import (
     ModelParams,
     ModelStructure,
     UserHistory,
-    background_intensity,
     intensity_vector,
-    long_term_intensity,
-    short_term_intensity,
     time_of_day,
-    tod_category,
-    total_intensity,
-    zero_params,
 )
 from .likelihood import (
     LogLikValue,
     analytic_compensator,
-    integrated_total_intensity,
     log_likelihood,
-    quadrature_compensator,
     rescaled_interarrivals,
 )
 from .inference import (

@@ -14,7 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import DAY_HOURS, ModelStructure, UserHistory, clamp_gaps, tod_categories
+from .model import (
+    DAY_HOURS, ModelStructure, UserHistory, check_positive, clamp_gaps, tod_categories,
+)
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,9 @@ class EventPanel:
 def check_histories(
     histories: Sequence[UserHistory], structure: ModelStructure, T: float
 ) -> None:
-    """Reject a non-positive horizon, a user listed twice, an event after
-    ``T`` and an action the structure does not have."""
-    if T <= 0:
-        raise InvalidInputError(f"observation horizon must be positive, got {T}")
+    """Reject a horizon that is not positive and finite, a user listed
+    twice, an event after ``T`` and an action the structure does not have."""
+    check_positive("observation horizon", T)
     seen: set[str] = set()
     for hist in histories:
         if hist.user in seen:

@@ -555,13 +555,7 @@ def _init_params(
         base = np.quantile(tods, qs) if tods.size else qs * DAY_HOURS
         mu[a] = base
     mu = np.clip(mu + jitter, 0.25, DAY_HOURS - 0.25)
-
-    if not config.include_background:
-        beta = np.zeros((A, Z))
-    if not config.include_short:
-        theta = np.zeros((A, A))
-    if not config.include_long:
-        phi = np.zeros((C, A))
+    beta, theta, phi = _ablate(config, beta, theta, phi)
 
     return ModelParams(
         structure=structure,
@@ -578,6 +572,13 @@ def _init_params(
     )
 
 
+def _ablate(config: FitConfig, beta, theta, phi) -> list[np.ndarray]:
+    """``beta``, ``theta`` and ``phi``, each zeroed if ``config`` leaves
+    its term (background, short-term, long-term) out."""
+    keep = (config.include_background, config.include_short, config.include_long)
+    return [w if k else np.zeros_like(w) for w, k in zip((beta, theta, phi), keep)]
+
+
 def _m_step(
     resp: Responsibilities, params: ModelParams, config: FitConfig
 ) -> tuple[ModelParams, int]:
@@ -586,14 +587,16 @@ def _m_step(
     mu, sigma, bg_fallbacks = m_step_newton(resp, params, T)
     shaped = replace(params, mu=mu, sigma=sigma, omega=omega, gamma=gamma, kappa=kappa)
     alpha, beta, theta, phi = m_step_closed(resp, shaped, T)
-    if not config.include_background:
-        beta = np.zeros_like(beta)
-    if not config.include_short:
-        theta = np.zeros_like(theta)
-    if not config.include_long:
-        phi = np.zeros_like(phi)
+    beta, theta, phi = _ablate(config, beta, theta, phi)
     new = replace(shaped, alpha=alpha, beta=beta, theta=theta, phi=phi)
     return new, rate_fallbacks + bg_fallbacks
+
+
+def _horizon(cfg: FitConfig, max_t: float) -> float:
+    """``cfg.horizon``, or the whole days (at least one) that cover ``max_t``."""
+    if cfg.horizon is not None:
+        return cfg.horizon
+    return max(1.0, math.ceil(max_t / DAY_HOURS)) * DAY_HOURS
 
 
 def fit(
@@ -610,9 +613,7 @@ def fit(
     max_t = max(float(h.times()[-1]) for h in histories if len(h))
     max_a = max(int(h.actions().max()) for h in histories if len(h))
     n_actions = cfg.n_actions if cfg.n_actions is not None else max_a + 1
-    horizon = cfg.horizon
-    if horizon is None:
-        horizon = max(1.0, math.ceil(max_t / DAY_HOURS)) * DAY_HOURS
+    horizon = _horizon(cfg, max_t)
     structure = ModelStructure(
         n_actions=n_actions,
         n_mixtures=cfg.n_mixtures,
@@ -704,9 +705,7 @@ def select_n_mixtures(
     max_t = max((float(h.times()[-1]) for h in histories if len(h)), default=0.0)
     if max_t <= 0:
         raise InvalidInputError("cannot select mixtures on empty data")
-    horizon = cfg.horizon
-    if horizon is None:
-        horizon = max(1.0, math.ceil(max_t / DAY_HOURS)) * DAY_HOURS
+    horizon = _horizon(cfg, max_t)
     t_split = max(
         DAY_HOURS, math.floor(horizon * (1.0 - val_fraction) / DAY_HOURS) * DAY_HOURS
     )

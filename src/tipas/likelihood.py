@@ -16,10 +16,6 @@ per whole day plus its truncated mass up to the time of day at which T ends.
 ``1 - exp(-omega (T - t))`` and ``1 - exp(-gamma (T - t)^kappa)`` summed per
 parameter cell.  The EM M step reads the same two functions, so the fit
 maximizes exactly the objective reported here.
-
-``quadrature_compensator`` recomputes the same integral numerically and is
-kept deliberately independent of the closed form so the two can be used as
-oracles for each other.
 """
 
 from __future__ import annotations
@@ -30,16 +26,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from ._panel import EventPanel, build_panel, check_histories
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import NumericalFailureError
 from .model import (
-    DAY_HOURS,
     ModelParams,
     UserHistory,
     _background_total,
-    _background_vector,
     _StreamState,
     exp_kernel,
     gaussian_density,
@@ -212,87 +205,6 @@ def analytic_compensator(
     actions = np.concatenate([np.empty(0, np.int64), *(h.actions() for h in histories)])
     cats = tod_categories(params.structure, times)
     return _compensator(params, T, [h.user for h in histories], T - times, actions, cats)
-
-
-def quadrature_compensator(
-    params: ModelParams,
-    histories: Sequence[UserHistory],
-    T: float,
-    n_panels: int = 2000,
-) -> float:
-    """Numeric integral of the total intensity; independent check of the closed form.
-
-    The integrand is only piecewise smooth (it jumps at events and at
-    midnight because the background is not wrapped), so integration panels
-    are aligned to those breakpoints and adaptively refined inside each.
-    """
-    if n_panels < 1:
-        raise InvalidInputError("n_panels must be >= 1")
-    total = 0.0
-    err_budget = 0.0
-    for hist in histories:
-        times = hist.times()
-        actions = hist.actions()
-        if times.size and times.max() > T:
-            raise InvalidInputError(
-                f"user {hist.user!r} has events beyond T={T}"
-            )
-        cats = tod_categories(params.structure, times)
-        alpha_row = params.alpha_row(hist.user)
-        breaks = np.unique(
-            np.concatenate(
-                [
-                    np.array([0.0, T]),
-                    times[times < T],
-                    np.arange(DAY_HOURS, T, DAY_HOURS),
-                ]
-            )
-        )
-
-        preference = float(alpha_row.sum())
-        theta, omega = params.theta[actions], params.omega[actions]
-        phi, gamma = params.phi[cats, actions], params.gamma[cats, actions]
-        kappa = params.kappa[cats, actions]
-
-        def rate(t: float, k: int) -> float:
-            # kernels at the true gap: inside a panel t lies strictly after
-            # the k earlier events, so no gap needs the TIE_EPSILON floor
-            d = t - times[:k]
-            lam = preference + _background_vector(params, t).sum()
-            lam += exp_kernel(d[:, None], theta[:k], omega[:k]).sum()
-            lam += weibull_kernel(d, phi[:k], gamma[:k], kappa[:k]).sum()
-            return float(lam)
-
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            k = int(np.searchsorted(times, lo, side="right"))
-            pieces = max(1, int(round(n_panels * (hi - lo) / T)))
-            edges = np.linspace(lo, hi, pieces + 1)
-            for a, b in zip(edges[:-1], edges[1:]):
-                res = integrate.quad(
-                    rate, a, b, args=(k,), limit=200, epsabs=1e-12, epsrel=1e-10,
-                    full_output=1,
-                )
-                total += res[0]
-                err_budget += res[1]
-    if err_budget > 1e-6 * max(1.0, abs(total)):
-        raise NumericalFailureError(
-            f"quadrature error estimate {err_budget:.3e} too large for "
-            f"compensator {total:.6e}"
-        )
-    return total
-
-
-def integrated_total_intensity(
-    params: ModelParams, history: UserHistory, upto: float
-) -> float:
-    """Exact integral of the user's total intensity over [0, upto]."""
-    if upto < 0 or not math.isfinite(upto):
-        raise InvalidInputError(f"upto must be finite and >= 0, got {upto}")
-    before = history.until(upto, inclusive=False)
-    cats = tod_categories(params.structure, before.times())
-    return _compensator(
-        params, upto, [history.user], upto - before.times(), before.actions(), cats
-    )
 
 
 def rescaled_interarrivals(params: ModelParams, history: UserHistory) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 from scipy.special import erf
@@ -189,11 +189,6 @@ def tod_categories(structure: ModelStructure, times) -> np.ndarray:
     return np.minimum(c, structure.n_categories - 1).astype(np.int64, copy=False)
 
 
-def tod_category(t: float, structure: ModelStructure) -> int:
-    """Index of the time-of-day window containing ``time_of_day(t)``."""
-    return int(tod_categories(structure, time_of_day(t)))
-
-
 class RatePeaks(NamedTuple):
     """Per-cell constants of ModelParams that the stream state
     (:class:`_StreamState`) reads; ``ModelParams._rate_peaks`` builds them
@@ -316,30 +311,6 @@ class ModelParams:
             return np.zeros(self.structure.n_actions)
         return self.alpha[idx]
 
-    def user_id(self, user: str) -> int | None:
-        return self._user_index.get(user)
-
-
-def zero_params(
-    structure: ModelStructure, users: Sequence[str] = ()
-) -> ModelParams:
-    """All-zero parameter set (mu centered, sigma/kappa at 1) for tests and builders."""
-    a, z, c = structure.n_actions, structure.n_mixtures, structure.n_categories
-    mu = np.full((a, z), DAY_HOURS / 2.0)
-    return ModelParams(
-        structure=structure,
-        users=tuple(users),
-        alpha=np.zeros((len(users), a)),
-        beta=np.zeros((a, z)),
-        mu=mu,
-        sigma=np.ones((a, z)),
-        theta=np.zeros((a, a)),
-        omega=np.zeros((a, a)),
-        phi=np.zeros((c, a)),
-        gamma=np.zeros((c, a)),
-        kappa=np.ones((c, a)),
-    )
-
 
 # ---------------------------------------------------------------------------
 # kernel evaluation on raw arrays (shared by the public ops, the EM engine,
@@ -441,9 +412,10 @@ class _StreamState:
 
     Built once from a history in O(n A^2); afterwards each call costs
     O(A^2 + live Weibull sources) per time or lag, and ``add(t, a)`` appends
-    an event, copying only the live sources, which the next ``bound`` or
-    ``intensity`` prunes (see ``_negligible``).  ``clock`` is the time of
-    the last event (0 without one); later times must not decrease.
+    an event, copying only the live sources, which the next ``bound``,
+    ``intensity`` or ``add`` prunes (see ``_negligible``); so a walk that
+    only calls ``increments`` and ``add`` stays short too.  ``clock`` is the
+    time of the last event (0 without one); later times must not decrease.
     ``params`` are the parameters it was built from.
     """
 
@@ -499,7 +471,8 @@ class _StreamState:
         # Past its mode a Weibull term only falls.  Below 2^-80 of the
         # constant part even a million such terms move the rate by under
         # 1e-18 of itself, so the first evaluation (bound or intensity) after
-        # each added event drops them; one on the built history does not.
+        # each added event drops them, or the next add if no evaluation came
+        # between; one on the built history does not.
         self._negligible = self._const * 2.0**-80
         self._pruned = True
 
@@ -604,6 +577,8 @@ class _StreamState:
 
     def add(self, t: float, a: int) -> None:
         """Append an event of action ``a`` at time ``t``."""
+        if not self._pruned:
+            self._prune(*self._weibull(t))
         self._mass *= self._decay(t)
         self.clock = t
         self._recent.append((t, a))
@@ -639,64 +614,8 @@ def _prefix_arrays(
 
 
 # ---------------------------------------------------------------------------
-# public intensity operations
+# public intensity query
 # ---------------------------------------------------------------------------
-
-
-def background_intensity(params: ModelParams, a: int, t: float) -> float:
-    """Gaussian-mixture background rate of action ``a`` at time ``t``."""
-    _check_action(params, a)
-    return float(_background_vector(params, t)[a])
-
-
-def short_term_intensity(
-    params: ModelParams, history_prefix: HistoryPrefix, a: int, t: float
-) -> float:
-    """Cross-excitation rate at ``t`` from all earlier events.
-
-    Every prefix event contributes ``theta[a', a] * omega[a', a] *
-    exp(-omega[a', a] * (t - t'))``.
-    """
-    _check_action(params, a)
-    times, actions, _ = _prefix_arrays(params.structure, history_prefix, t)
-    if not times.size:
-        return 0.0
-    dt = clamp_gaps(t - times)
-    vals = exp_kernel(dt, params.theta[actions, a], params.omega[actions, a])
-    return float(vals.sum())
-
-
-def long_term_intensity(
-    params: ModelParams, history_prefix: HistoryPrefix, a: int, t: float
-) -> float:
-    """Periodic-recurrence rate at ``t`` from earlier events of the same action.
-
-    Each same-action event contributes a Weibull hazard whose parameters are
-    selected by the time-of-day category of that earlier event.
-    """
-    _check_action(params, a)
-    times, actions, cats = _prefix_arrays(params.structure, history_prefix, t)
-    mask = actions == a
-    if not mask.any():
-        return 0.0
-    dt = clamp_gaps(t - times[mask])
-    c = cats[mask]
-    vals = weibull_kernel(dt, params.phi[c, a], params.gamma[c, a], params.kappa[c, a])
-    return float(vals.sum())
-
-
-def total_intensity(
-    params: ModelParams,
-    user: str,
-    history_prefix: HistoryPrefix,
-    a: int,
-    t: float,
-) -> float:
-    """Full conditional intensity of action ``a`` for ``user`` at time ``t``."""
-    _check_action(params, a)
-    times, actions, cats = _prefix_arrays(params.structure, history_prefix, t)
-    lam = _intensity_vector_arrays(params, params.alpha_row(user), times, actions, cats, t)
-    return float(lam[a])
 
 
 def intensity_vector(
@@ -708,9 +627,3 @@ def intensity_vector(
         params, params.alpha_row(user), times, actions, cats, t
     )
 
-
-def _check_action(params: ModelParams, a: int) -> None:
-    if not 0 <= a < params.structure.n_actions:
-        raise InvalidInputError(
-            f"action {a} out of range for {params.structure.n_actions} actions"
-        )

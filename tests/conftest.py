@@ -1,7 +1,10 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
 from tipas import EventRecord, ModelParams, ModelStructure, UserHistory
+from tipas.model import DAY_HOURS
 
 
 @pytest.fixture
@@ -32,6 +35,27 @@ def random_params(
         phi=rng.uniform(0.02, 0.4, (c, a)),
         gamma=rng.uniform(0.02, 0.5, (c, a)),
         kappa=rng.uniform(*kappa_range, (c, a)),
+    )
+
+
+def zero_params(
+    structure: ModelStructure, users: Sequence[str] = ()
+) -> ModelParams:
+    """All-zero parameter set (mu centered, sigma/kappa at 1)."""
+    a, z, c = structure.n_actions, structure.n_mixtures, structure.n_categories
+    mu = np.full((a, z), DAY_HOURS / 2.0)
+    return ModelParams(
+        structure=structure,
+        users=tuple(users),
+        alpha=np.zeros((len(users), a)),
+        beta=np.zeros((a, z)),
+        mu=mu,
+        sigma=np.ones((a, z)),
+        theta=np.zeros((a, a)),
+        omega=np.zeros((a, a)),
+        phi=np.zeros((c, a)),
+        gamma=np.zeros((c, a)),
+        kappa=np.ones((c, a)),
     )
 
 

@@ -28,7 +28,6 @@ from tipas import (
     fit,
     generate_synthetic,
     make_windows,
-    quadrature_compensator,
     rescaled_interarrivals,
     rolling_window_eval,
     simulate,
@@ -49,6 +48,7 @@ from tipas.predict import make_tipas_factory
 from tipas.simulate import params_for_users
 
 from conftest import random_histories, random_params
+from oracles import quadrature_compensator
 
 
 @contextmanager

@@ -17,7 +17,6 @@ from tipas import (
     UnsupportedVersionError,
     UserHistory,
     VocabularyError,
-    background_intensity,
     load_dataset,
     load_model,
     save_histories,
@@ -31,10 +30,10 @@ from tipas.model import (
     ModelStructure,
     exp_kernel,
     weibull_kernel,
-    zero_params,
 )
 
-from conftest import random_params
+from conftest import random_params, zero_params
+from oracles import background_intensity
 
 
 class TestLoadDataset:

@@ -20,14 +20,12 @@ from tipas import (
     e_step,
     fit,
     generate_synthetic,
-    integrated_total_intensity,
     intensity_vector,
     load_spec,
     log_likelihood,
     m_step_closed,
     m_step_newton,
     m_step_rate,
-    quadrature_compensator,
 )
 from tipas.inference import (
     KAPPA_MAX,
@@ -42,7 +40,8 @@ from tipas.inference import (
 from tipas.likelihood import tail_masses
 from tipas.model import background_mass
 
-from conftest import random_histories, random_params
+from conftest import random_histories, random_params, zero_params
+from oracles import integrated_total_intensity, quadrature_compensator
 
 
 def build_params(n_actions=1, n_mixtures=1, horizon=100.0, users=("u",), **over):
@@ -400,7 +399,7 @@ class TestFit:
         assert report.kappa_at_max == 0
 
     def test_degenerate_event_error_names_offender(self):
-        from tipas import DegenerateEventError, zero_params
+        from tipas import DegenerateEventError
 
         p = zero_params(ModelStructure(n_actions=1, n_mixtures=1, horizon=10.0), users=("u",))
         with pytest.raises(DegenerateEventError, match="u"):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,16 +19,15 @@ from tipas import (
     analytic_compensator,
     fit,
     generate_synthetic,
-    integrated_total_intensity,
+    load_spec,
     log_likelihood,
-    quadrature_compensator,
     rescaled_interarrivals,
-    zero_params,
 )
 from tipas.model import TIE_EPSILON, _StreamState, tod_categories
 from tipas.simulate import params_for_users
 
-from conftest import random_histories, random_params
+from conftest import random_histories, random_params, zero_params
+from oracles import integrated_total_intensity, quadrature_compensator
 
 
 def alpha_only_params(alpha: float, T: float = 10.0) -> ModelParams:
@@ -72,6 +72,17 @@ class TestLogLikelihood:
         p = alpha_only_params(0.1)
         with pytest.raises(InvalidInputError):
             log_likelihood(p, [UserHistory("u", (EventRecord(0, 11.0),))], 10.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "func", [log_likelihood, analytic_compensator], ids=lambda f: f.__name__
+    )
+    def test_non_finite_horizon_rejected(self, func, T):
+        # a data error, not a NaN compensator or a numerical failure
+        p = alpha_only_params(0.1)
+        hs = [UserHistory("u", (EventRecord(0, 1.0), EventRecord(0, 2.0)))]
+        with pytest.raises(InvalidInputError, match="observation horizon"):
+            func(p, hs, T)
 
     def test_user_order_invariance(self):
         rng = np.random.default_rng(0)
@@ -337,3 +348,20 @@ class TestStreamStateIncrements:
             got = rescaled_interarrivals(p, h)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * at)
+
+    def test_walk_of_increments_and_adds_prunes(self):
+        # the walk of rescaled_interarrivals calls no bound or intensity, so
+        # add must drop the spent Weibull sources: kept, the recurrent
+        # action's list grows by one source per event
+        with resources.as_file(resources.files("tipas").joinpath("data/demo_spec.json")) as path:
+            spec, _ = load_spec(path)
+        (h,) = generate_synthetic(replace(spec, n_users=1, horizon=12000.0, seed=0))
+        p = params_for_users(spec.params, [h.user])
+        none = np.empty(0, dtype=np.int64)
+        state = _StreamState(p, p.alpha_row(h.user), np.empty(0), none, none)
+        sizes = []
+        for t, a in zip(h.times().tolist(), h.actions().tolist()):
+            state.increments(np.array([t - state.clock]))
+            state.add(t, a)
+            sizes.append(state._live_act.size)
+        assert len(sizes) >= 1000 and max(sizes) < 20

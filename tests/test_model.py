@@ -14,17 +14,18 @@ from tipas import (
     ModelParams,
     ModelStructure,
     UserHistory,
-    background_intensity,
     intensity_vector,
-    long_term_intensity,
-    short_term_intensity,
     time_of_day,
-    tod_category,
-    total_intensity,
-    zero_params,
 )
 
-from conftest import random_histories, random_params
+from conftest import random_histories, random_params, zero_params
+from oracles import (
+    background_intensity,
+    long_term_intensity,
+    short_term_intensity,
+    tod_category,
+    total_intensity,
+)
 
 
 def single_action_params(**over):

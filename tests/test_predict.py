@@ -20,20 +20,19 @@ from tipas import (
     SyntheticSpec,
     UserHistory,
     generate_synthetic,
-    integrated_total_intensity,
     intensity_vector,
     make_windows,
     predict_next_action,
     predict_next_time,
     rolling_window_eval,
-    zero_params,
 )
 from tipas.dataio import load_spec
 from tipas.model import TIE_EPSILON, _intensity_vector_arrays, _StreamState, tod_categories
 from tipas.predict import CENSOR_FACTOR, TipasPredictor, _next_time, _survival_nodes
 from tipas.simulate import _simulate_stream, params_for_users
 
-from conftest import random_histories, random_params
+from conftest import random_histories, random_params, zero_params
+from oracles import integrated_total_intensity
 
 
 def two_action_params(**over):

@@ -18,7 +18,6 @@ from tipas import (
     intensity_upper_bound,
     intensity_vector,
     simulate,
-    zero_params,
 )
 
 from tipas.model import _intensity_vector_arrays, tod_categories
@@ -26,7 +25,7 @@ from tipas.model import _StreamState as _ThinningState
 from tipas.simulate import _simulate_stream, _stream_rng
 
 import thinning_oracle
-from conftest import random_histories, random_params
+from conftest import random_histories, random_params, zero_params
 
 
 def alpha_only(rate: float) -> ModelParams:
