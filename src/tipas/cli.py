@@ -28,7 +28,7 @@ from .errors import (
 )
 from .inference import FitConfig, fit, select_n_mixtures
 from .metrics import CSV_COLUMNS, report_csv_rows, report_to_dict
-from .model import DAY_HOURS, ModelParams, UserHistory
+from .model import DAY_HOURS, ModelParams, UserHistory, check_positive
 from .predict import (
     PredictionTask,
     make_tipas_factory,
@@ -55,12 +55,27 @@ def _tod_edges(n_windows: int) -> tuple[float, ...]:
     return tuple(i * DAY_HOURS / n_windows for i in range(n_windows)) + (DAY_HOURS,)
 
 
+def _mixture_parser(allow_auto: bool):
+    """The argparse type of ``--mixtures``: a positive integer, or 'auto'
+    where ``allow_auto``; anything else is a usage error."""
+    wanted = "a positive integer" + (" or 'auto'" if allow_auto else "")
+
+    def parse(text: str) -> int | str:
+        if allow_auto and text == "auto":
+            return text
+        if text.isascii() and text.isdigit() and int(text) > 0:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="tipas", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_fit_opts(sp, with_mixture_auto=False):
-        sp.add_argument("--mixtures", default="3",
+        sp.add_argument("--mixtures", type=_mixture_parser(with_mixture_auto), default=3,
                         help="background mixture count, or 'auto' for grid selection"
                         if with_mixture_auto else "background mixture count")
         sp.add_argument("--windows", type=int, default=4,
@@ -130,10 +145,8 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args, n_actions: int, horizon=None) -> FitConfig:
-    mixtures = getattr(args, "mixtures", "3")
-    n_mixtures = 3 if mixtures == "auto" else int(mixtures)
     return FitConfig(
-        n_mixtures=n_mixtures,
+        n_mixtures=3 if args.mixtures == "auto" else args.mixtures,
         n_actions=n_actions,
         tod_edges=_tod_edges(args.windows),
         horizon=horizon,
@@ -268,6 +281,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    check_positive("--window-days", args.window_days)
     if not args.window_days.is_integer():
         raise InvalidInputError(
             f"--window-days must be a whole number of days, got {args.window_days}: "

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from ._panel import EventPanel, build_panel
+from ._panel import EventPanel, build_panel, pair_blocks
 from .errors import (
     DegenerateEventError,
     InvalidInputError,
@@ -117,14 +117,18 @@ class Responsibilities:
     """Per-event latent attributions.
 
     ``p0[n]`` is the probability event ``n`` came from user preference,
-    ``pz[n, z]`` from background mixture ``z``; ``q[i]`` / ``r[i]`` attach to
-    the pair arrays of ``panel`` (``sp_*`` and ``lp_*`` respectively).  For
-    every event the pieces sum to one.
+    ``pz[n, z]`` from background mixture ``z``, ``q[n, a']`` from the
+    short-term excitation of its user's earlier events of action ``a'``, and
+    ``r[i]`` from the Weibull recurrence of same-action pair ``i`` of
+    ``panel`` (``lp_*``).  For every event the pieces sum to one.
+    ``q_dt[n, a']`` is ``q[n, a']`` with each earlier event's share weighted
+    by its gap to event ``n``.
     """
 
     p0: np.ndarray
     pz: np.ndarray
     q: np.ndarray
+    q_dt: np.ndarray
     r: np.ndarray
     panel: EventPanel = field(repr=False)
 
@@ -132,7 +136,7 @@ class Responsibilities:
         """Sum of all attributions per event; should be 1 everywhere."""
         n = self.panel.n_events
         tot = self.p0 + self.pz.sum(axis=1)
-        tot += np.bincount(self.panel.sp_dst, weights=self.q, minlength=n)
+        tot += self.q.sum(axis=1)
         tot += np.bincount(self.panel.lp_dst, weights=self.r, minlength=n)
         return tot
 
@@ -152,18 +156,21 @@ def e_step(params: ModelParams, histories: Sequence[UserHistory]) -> Responsibil
 def _e_step_panel(
     params: ModelParams, panel: EventPanel
 ) -> tuple[Responsibilities, np.ndarray]:
-    a0, bg, q_raw, r_raw, lam = event_contributions(params, panel)
+    a0, bg, q_raw, q_dt_raw, r_raw, lam = event_contributions(params, panel)
     if panel.n_events and lam.min() <= 0.0:
         bad = int(np.argmin(lam))
         raise DegenerateEventError(
             f"event {panel.event_label(bad)} receives zero intensity from "
             "every model component"
         )
+    for block in pair_blocks(r_raw.size):
+        r_raw[block] /= lam[panel.lp_dst[block]]
     resp = Responsibilities(
         p0=a0 / lam if panel.n_events else a0,
         pz=bg / lam[:, None] if panel.n_events else bg,
-        q=q_raw / lam[panel.sp_dst],
-        r=r_raw / lam[panel.lp_dst],
+        q=q_raw / lam[:, None],
+        q_dt=q_dt_raw / lam[:, None],
+        r=r_raw,
         panel=panel,
     )
     return resp, lam
@@ -207,7 +214,7 @@ def m_step_closed(
     beta = _ratio(bg_num, U * background_mass(params.mu, params.sigma, T))
 
     q_den, r_den = tail_masses(params, panel.ev_tail, panel.ev_a, panel.ev_cat)
-    q_num = np.bincount(panel.sp_cell, weights=resp.q, minlength=A * A).reshape(A, A)
+    q_num = panel.source_cell_sums(resp.q).reshape(A, A)
     theta = _ratio(q_num, q_den)
     if np.any((q_den <= 0) & (q_num > 0)):
         logger.warning("theta update saw responsibility mass with empty denominator")
@@ -306,8 +313,8 @@ def exponential_objective(resp: Responsibilities, params: ModelParams):
     panel = resp.panel
     A = params.structure.n_actions
     n = A * A
-    sq = np.bincount(panel.sp_cell, weights=resp.q, minlength=n)
-    sq_dt = np.bincount(panel.sp_cell, weights=resp.q * panel.sp_dt, minlength=n)
+    sq = panel.source_cell_sums(resp.q)
+    sq_dt = panel.source_cell_sums(resp.q_dt)
     live = panel.ev_tail > 0
     ev_cell = (panel.ev_a[live, None] * A + np.arange(A)).reshape(-1)
     log_s = np.repeat(np.log(panel.ev_tail[live]), A)

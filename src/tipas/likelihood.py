@@ -27,14 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._panel import EventPanel, build_panel, check_histories
+from ._panel import EventPanel, build_panel, check_histories, decay_sums, pair_blocks
 from .errors import NumericalFailureError
 from .model import (
     ModelParams,
     UserHistory,
     _background_total,
     _StreamState,
-    exp_kernel,
     gaussian_density,
     tod_categories,
     weibull_kernel,
@@ -69,13 +68,16 @@ def _alpha_matrix(params: ModelParams, users: Sequence[str]) -> np.ndarray:
 
 def event_contributions(
     params: ModelParams, panel: EventPanel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Additive intensity pieces at every observed event.
 
-    Returns ``(a0, bg, q_raw, r_raw, lam)`` where ``a0`` (N,) is the
-    preference term, ``bg`` (N, Z) the per-mixture background, ``q_raw`` (P,)
-    and ``r_raw`` (L,) the per-pair kernel values, and ``lam`` (N,) their sum
-    per event, i.e. the intensity at (t_n, a_n).
+    Returns ``(a0, bg, q_raw, q_dt_raw, r_raw, lam)`` where ``a0`` (N,) is
+    the preference term, ``bg`` (N, Z) the per-mixture background,
+    ``q_raw`` (N, A) the short-term term per (event, source action),
+    ``q_dt_raw`` (N, A) the same with each pair's term weighted by its gap,
+    ``r_raw`` (L,) the per-pair Weibull values, and ``lam`` (N,) the sum of
+    ``a0``, ``bg``, ``q_raw`` and ``r_raw`` per event, i.e. the intensity at
+    (t_n, a_n).
     """
     n = panel.n_events
     alpha_panel = _alpha_matrix(params, panel.users)
@@ -83,18 +85,23 @@ def event_contributions(
     mu = params.mu[panel.ev_a]
     sigma = params.sigma[panel.ev_a]
     bg = params.beta[panel.ev_a] * gaussian_density(panel.ev_tod[:, None], mu, sigma)
-    sp, lp = panel.sp_cell, panel.lp_cell
-    q_raw = exp_kernel(panel.sp_dt, params.theta.ravel()[sp], params.omega.ravel()[sp])
-    r_raw = weibull_kernel(
-        panel.lp_dt,
-        params.phi.ravel()[lp],
-        params.gamma.ravel()[lp],
-        params.kappa.ravel()[lp],
-    )
+    K, G = decay_sums(panel, params.omega)
+    theta_omega = (params.theta * params.omega)[:, panel.ev_a].T  # (N, A)
+    q_raw = theta_omega * K
+    q_dt_raw = theta_omega * G
+    r_raw = np.empty(panel.lp_dt.size)
+    for block in pair_blocks(r_raw.size):
+        lp = panel.lp_cell[block]
+        r_raw[block] = weibull_kernel(
+            panel.lp_dt[block],
+            params.phi.ravel()[lp],
+            params.gamma.ravel()[lp],
+            params.kappa.ravel()[lp],
+        )
     lam = a0 + bg.sum(axis=1)
-    lam += np.bincount(panel.sp_dst, weights=q_raw, minlength=n)
+    lam += q_raw.sum(axis=1)
     lam += np.bincount(panel.lp_dst, weights=r_raw, minlength=n)
-    return a0, bg, q_raw, r_raw, lam
+    return a0, bg, q_raw, q_dt_raw, r_raw, lam
 
 
 def tail_masses(
@@ -146,7 +153,7 @@ def log_likelihood(
 ) -> LogLikValue:
     """Exact log-likelihood of ``histories`` on [0, T] under ``params``."""
     panel = build_panel(histories, params.structure, T)
-    _, _, _, _, lam = event_contributions(params, panel)
+    lam = event_contributions(params, panel)[-1]
     return _assemble_loglik(params, panel, lam)
 
 

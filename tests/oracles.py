@@ -6,17 +6,21 @@ oracles for each other.  ``integrated_total_intensity`` is the closed form
 for one user up to any time.  The per-term intensities (background,
 short-term, long-term) and their sum evaluate one action at one time by
 rescanning the prefix, and ``tod_category`` is the scalar form of
-``tod_categories``.
+``tod_categories``.  ``pair_panel`` and ``pair_event_contributions`` are the
+all-pairs form of the panel and the event terms: every ordered event pair of
+a user is stored with its clamped gap and summed directly.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import integrate
 
 from tipas.errors import InvalidInputError, NumericalFailureError
-from tipas.likelihood import _compensator
+from tipas._panel import check_histories
+from tipas.likelihood import _alpha_matrix, _compensator
 from tipas.model import (
     DAY_HOURS,
     HistoryPrefix,
@@ -28,6 +32,7 @@ from tipas.model import (
     _prefix_arrays,
     clamp_gaps,
     exp_kernel,
+    gaussian_density,
     time_of_day,
     tod_categories,
     weibull_kernel,
@@ -181,3 +186,120 @@ def _check_action(params: ModelParams, a: int) -> None:
         raise InvalidInputError(
             f"action {a} out of range for {params.structure.n_actions} actions"
         )
+
+
+@dataclass(frozen=True)
+class PairPanel:
+    """Per-event arrays and every event pair.  ``sp_*`` hold every ordered
+    pair (m < n within one user), ``lp_*`` the same-action subset; all gaps
+    are clamped for ties.  Cells index the flattened parameter arrays:
+    ``sp_cell = a_src * A + a_dst``, ``lp_cell = c_src * A + a``."""
+
+    structure: ModelStructure
+    T: float
+    users: tuple[str, ...]
+
+    # per event, length N
+    ev_user: np.ndarray
+    ev_t: np.ndarray
+    ev_a: np.ndarray
+    ev_tod: np.ndarray
+    ev_cat: np.ndarray
+    ev_tail: np.ndarray
+    ev_pos: np.ndarray
+
+    # every (earlier m, later n) pair within a user, length P
+    sp_src: np.ndarray
+    sp_dst: np.ndarray
+    sp_dt: np.ndarray
+    sp_cell: np.ndarray
+
+    # same-action subset, length L
+    lp_src: np.ndarray
+    lp_dst: np.ndarray
+    lp_dt: np.ndarray
+    lp_cell: np.ndarray
+
+    @property
+    def n_events(self) -> int:
+        return int(self.ev_t.size)
+
+
+def pair_panel(
+    histories: Sequence[UserHistory], structure: ModelStructure, T: float
+) -> PairPanel:
+    """The all-pairs panel of ``histories``: O(n^2) pairs per user."""
+    check_histories(histories, structure, T)
+    users = tuple(h.user for h in histories)
+
+    def joined(parts, dtype=np.int64):
+        return np.concatenate([np.empty(0, dtype=dtype), *parts])
+
+    lengths = np.array([len(h) for h in histories], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    ev_t_arr = joined((h.times() for h in histories), np.float64)
+    ev_a_arr = joined(h.actions() for h in histories)
+    ev_user_arr = np.repeat(np.arange(len(histories), dtype=np.int64), lengths)
+    ev_pos_arr = np.arange(ev_t_arr.size, dtype=np.int64) - starts[ev_user_arr]
+    pairs = [np.triu_indices(n, k=1) for n in lengths.tolist()]
+    sp_src_arr = joined(src + s for (src, _), s in zip(pairs, starts.tolist()))
+    sp_dst_arr = joined(dst + s for (_, dst), s in zip(pairs, starts.tolist()))
+
+    ev_tod = ev_t_arr % DAY_HOURS
+    ev_cat = tod_categories(structure, ev_tod)
+
+    sp_dt = clamp_gaps(ev_t_arr[sp_dst_arr] - ev_t_arr[sp_src_arr])
+    a_src, a_dst = ev_a_arr[sp_src_arr], ev_a_arr[sp_dst_arr]
+    same = a_src == a_dst
+    lp_src = sp_src_arr[same]
+    lp_dst = sp_dst_arr[same]
+    return PairPanel(
+        structure=structure,
+        T=float(T),
+        users=users,
+        ev_user=ev_user_arr,
+        ev_t=ev_t_arr,
+        ev_a=ev_a_arr,
+        ev_tod=ev_tod,
+        ev_cat=ev_cat,
+        ev_tail=T - ev_t_arr,
+        ev_pos=ev_pos_arr,
+        sp_src=sp_src_arr,
+        sp_dst=sp_dst_arr,
+        sp_dt=sp_dt,
+        sp_cell=a_src * structure.n_actions + a_dst,
+        lp_src=lp_src,
+        lp_dst=lp_dst,
+        lp_dt=sp_dt[same],
+        lp_cell=ev_cat[lp_src] * structure.n_actions + ev_a_arr[lp_dst],
+    )
+
+
+def pair_event_contributions(
+    params: ModelParams, panel: PairPanel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Additive intensity pieces at every observed event, pair by pair.
+
+    Returns ``(a0, bg, q_raw, r_raw, lam)`` where ``a0`` (N,) is the
+    preference term, ``bg`` (N, Z) the per-mixture background, ``q_raw`` (P,)
+    and ``r_raw`` (L,) the per-pair kernel values, and ``lam`` (N,) their sum
+    per event, i.e. the intensity at (t_n, a_n).
+    """
+    n = panel.n_events
+    alpha_panel = _alpha_matrix(params, panel.users)
+    a0 = alpha_panel[panel.ev_user, panel.ev_a] if n else np.zeros(0)
+    mu = params.mu[panel.ev_a]
+    sigma = params.sigma[panel.ev_a]
+    bg = params.beta[panel.ev_a] * gaussian_density(panel.ev_tod[:, None], mu, sigma)
+    sp, lp = panel.sp_cell, panel.lp_cell
+    q_raw = exp_kernel(panel.sp_dt, params.theta.ravel()[sp], params.omega.ravel()[sp])
+    r_raw = weibull_kernel(
+        panel.lp_dt,
+        params.phi.ravel()[lp],
+        params.gamma.ravel()[lp],
+        params.kappa.ravel()[lp],
+    )
+    lam = a0 + bg.sum(axis=1)
+    lam += np.bincount(panel.sp_dst, weights=q_raw, minlength=n)
+    lam += np.bincount(panel.lp_dst, weights=r_raw, minlength=n)
+    return a0, bg, q_raw, r_raw, lam

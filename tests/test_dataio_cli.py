@@ -23,7 +23,7 @@ from tipas import (
     save_model,
     save_spec,
 )
-from tipas.cli import main
+from tipas.cli import _build_parser, main
 from tipas.dataio import export_params, write_json
 from tipas.model import (
     ModelParams,
@@ -244,6 +244,42 @@ class TestCli:
         assert code == 2
         assert not report.exists()
         assert "would shift the time-of-day patterns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("days", ["0", "-30", "nan", "inf"])
+    def test_evaluate_rejects_bad_window_days(self, tmp_path, capsys, days):
+        data = tmp_path / "d.jsonl"
+        save_histories([UserHistory("u", (EventRecord(0, 1.0), EventRecord(0, 40.0)))],
+                       ("a",), data)
+        report = tmp_path / "r.json"
+        code = main(
+            ["evaluate", "--data", str(data), "--window-days", days, "--no-time",
+             "--baselines", "copy", "--max-iters", "2", "--out", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert "--window-days must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,value",
+        [("evaluate", "auto"), ("evaluate", "2.5"), ("fit", "abc"), ("fit", "3.5"),
+         ("fit", "0")],
+    )
+    def test_bad_mixture_count_is_usage_error(self, tmp_path, capsys, command, value):
+        data = tmp_path / "d.jsonl"
+        save_histories([UserHistory("u", (EventRecord(0, 1.0), EventRecord(0, 40.0)))],
+                       ("a",), data)
+        out = tmp_path / "out.json"
+        code = main([command, "--data", str(data), "--mixtures", value, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "usage" in err and "Traceback" not in err
+
+    def test_fit_accepts_auto_mixtures(self):
+        args = _build_parser().parse_args(["fit", "--data", "d", "--out", "m", "--mixtures", "auto"])
+        assert args.mixtures == "auto"
+        args = _build_parser().parse_args(["evaluate", "--data", "d", "--out", "r"])
+        assert args.mixtures == 3
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.jsonl"), "--out", "m.json"]) == 2

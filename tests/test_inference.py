@@ -108,7 +108,7 @@ class TestEStep:
         h = UserHistory("u", (EventRecord(0, 1.0), EventRecord(0, 1.0 + gap)))
         resp = e_step(p, [h])
         assert resp.p0[1] == pytest.approx(0.25, rel=1e-10)
-        assert resp.q[0] == pytest.approx(0.75, rel=1e-10)
+        assert resp.q[1, 0] == pytest.approx(0.75, rel=1e-10)
 
     def test_normalization_bulk(self):
         rng = np.random.default_rng(17)
@@ -174,7 +174,7 @@ class TestMStepRate:
         # one triggered pair with gap 2, negligible tail -> omega = 1/2
         p = build_params(alpha=1e-14, theta=0.5, omega=1.0, horizon=1e9)
         resp = e_step(p, [UserHistory("u", (EventRecord(0, 1.0), EventRecord(0, 3.0)))])
-        assert resp.q[0] == pytest.approx(1.0, rel=1e-9)
+        assert resp.q[1, 0] == pytest.approx(1.0, rel=1e-9)
         p = ascend_block(m_step_rate, resp, p, ("omega", "gamma", "kappa"), 20)
         assert p.omega[0, 0] == pytest.approx(0.5, rel=1e-6)
 
