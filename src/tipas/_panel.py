@@ -87,8 +87,8 @@ class EventPanel:
     def sp_src(self) -> np.ndarray:
         """Earlier event of every ordered event pair within a user, in
         ``np.triu_indices`` order; built on each call, O(pairs) memory."""
-        ends = np.flatnonzero(np.diff(self.ev_user, append=-1)) + 1
-        starts = np.concatenate(([0], ends[:-1]))
+        starts = np.flatnonzero(self.ev_pos == 0)
+        ends = np.append(starts[1:], self.n_events)
         return np.concatenate(
             [np.empty(0, np.int64)]
             + [np.triu_indices(e - s, k=1)[0] + s for s, e in zip(starts, ends)]
@@ -138,8 +138,7 @@ def check_histories(
 def _run_starts(is_start: np.ndarray) -> np.ndarray:
     """For items in runs marked by ``is_start``, the index of each item's
     run start."""
-    idx = np.arange(is_start.size)
-    return np.maximum.accumulate(np.where(is_start, idx, 0)) if idx.size else idx
+    return np.maximum.accumulate(np.where(is_start, np.arange(is_start.size), 0))
 
 
 def _pairs_within(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,11 +197,7 @@ def build_panel(
     # after a gap of at least TIE_EPSILON
     new_user = ev_pos == 0
     allowed = np.flatnonzero(new_user | (np.diff(ev_t, prepend=0.0) >= TIE_EPSILON))
-    n_targets = -(-lengths // CHUNK_EVENTS)
-    targets = np.repeat(starts, n_targets)
-    targets += CHUNK_EVENTS * (
-        np.arange(targets.size) - np.repeat(np.cumsum(n_targets) - n_targets, n_targets)
-    )
+    targets = np.flatnonzero(ev_pos % CHUNK_EVENTS == 0)
     bounds = np.append(allowed, n)[np.searchsorted(allowed, targets)]
     is_chunk_start = np.zeros(n, dtype=bool)
     is_chunk_start[bounds[bounds < n]] = True
