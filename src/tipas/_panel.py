@@ -8,13 +8,15 @@ acts on the pairs inside a chunk.  Those pairs are stored (``cp_*``, about
 ``CHUNK_EVENTS / 2`` per event); the earlier chunks reach an event through two
 decayed (A, A) states carried from chunk start to chunk start (Ozaki's
 recursion), see :func:`decay_sums`.  The Weibull kernel has no such recursion
-for a general shape, so its same-action pairs are stored (``lp_*``).  Memory
-is O(N * CHUNK_EVENTS + same-action pairs).
+for a general shape, so its same-action pairs are stored (``lp_*``, a log gap
+and a later event each), grouped by Weibull cell.  Memory is
+O(N * CHUNK_EVENTS + same-action pairs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +29,9 @@ from .model import (
 
 # Target number of events per chunk; a run of ties can make a chunk longer.
 CHUNK_EVENTS = 32
-# Same-action pairs are evaluated this many at a time, which bounds the
-# temporaries of the Weibull kernel.
+# Same-action pairs are evaluated at most this many at a time (see
+# ``EventPanel.cell_blocks``), which bounds the temporaries of the Weibull
+# kernel and of its M-step sums.
 PAIR_BLOCK = 1 << 14
 
 
@@ -38,8 +41,12 @@ class EventPanel:
     same-action pairs of the Weibull kernel.
 
     Cells are flat row-major indices into parameter arrays: ``cp_cell`` into
-    the (A, A) exponential ones (``params.omega.ravel()[panel.cp_cell]``),
-    ``lp_cell`` into the (C, A) Weibull ones.  The earlier event of each
+    the (A, A) exponential ones (``params.omega.ravel()[panel.cp_cell]``).
+    The same-action pairs are ordered by their Weibull cell ``c_src * A + a``
+    (c_src the earlier event's category), a flat index into the (C, A)
+    Weibull arrays: the pairs of cell c are ``lp_bounds[c]:lp_bounds[c + 1]``
+    (see ``cell_blocks``), and inside a cell they keep the (user,
+    action, later event, earlier event) order.  The earlier event of each
     pair, ``sp_src`` for every pair and ``lp_src`` for the same-action ones,
     is built on demand: no EM code reads it, and the benchmark tracer counts
     the pairs by its size."""
@@ -70,10 +77,11 @@ class EventPanel:
     cp_cell: np.ndarray  # a_src * A + a_dst
     cp_slot: np.ndarray  # dst * A + a_src, a flat index into an (N, A) field
 
-    # every (earlier, later) same-action pair within a user, length L
+    # every (earlier, later) same-action pair within a user, length L,
+    # grouped by Weibull cell
     lp_dst: np.ndarray
-    lp_dt: np.ndarray
-    lp_cell: np.ndarray  # c_src * A + a, c_src the earlier event's category
+    lp_log_dt: np.ndarray  # log of the clamped gap
+    lp_bounds: np.ndarray  # (C * A + 1,) start of each cell's pairs
 
     @property
     def n_events(self) -> int:
@@ -98,7 +106,27 @@ class EventPanel:
     def lp_src(self) -> np.ndarray:
         """Earlier event of every same-action pair, aligned with ``lp_dst``;
         built on each call."""
-        return _same_action_pairs(self.ev_user, self.ev_a, self.structure.n_actions)[0]
+        return _same_action_pairs(self.ev_user, self.ev_a, self.ev_cat, self.structure)[0]
+
+    @cached_property
+    def cell_blocks(self) -> tuple[tuple[int, slice], ...]:
+        """``(cell, slice)`` over the same-action pairs of every non-empty
+        Weibull cell in cell order, at most ``PAIR_BLOCK`` pairs a slice;
+        built once per panel."""
+        bounds = self.lp_bounds.tolist()
+        return tuple(
+            (c, slice(b, min(b + PAIR_BLOCK, hi)))
+            for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+            for b in range(lo, hi, PAIR_BLOCK)
+        )
+
+    def cell_sums(self, field: np.ndarray) -> np.ndarray:
+        """Sums of a per-pair field, aligned with ``lp_dst``, over each
+        Weibull cell; shape (C * A,)."""
+        out = np.zeros(self.lp_bounds.size - 1)
+        for c, b in self.cell_blocks:
+            out[c] += field[b].sum()
+        return out
 
     def source_cell_sums(self, field: np.ndarray) -> np.ndarray:
         """Sums of an (N, A) field, indexed (event n, source action a'), over
@@ -154,20 +182,27 @@ def _pairs_within(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _same_action_pairs(
-    ev_user: np.ndarray, ev_a: np.ndarray, n_actions: int
-) -> tuple[np.ndarray, np.ndarray]:
+    ev_user: np.ndarray, ev_a: np.ndarray, ev_cat: np.ndarray, structure: ModelStructure
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(earlier, later) event indices of every same-action pair within a
-    user, built per (user, action) group, in group order."""
-    order = np.argsort(ev_user * n_actions + ev_a, kind="stable")
-    key = ev_user[order] * n_actions + ev_a[order]
+    user, and the start of each Weibull cell's pairs (``lp_bounds``).
+
+    The pairs are built per (user, action) group, then sorted by cell with a
+    stable sort of a small integer key (a radix sort), which keeps the group
+    order inside a cell."""
+    A = structure.n_actions
+    n_cells = structure.n_categories * A
+    order = np.argsort(ev_user * A + ev_a, kind="stable")
+    key = ev_user[order] * A + ev_a[order]
     src, dst = _pairs_within(_run_starts(np.diff(key, prepend=-1) != 0))
     src = order[src]
-    return src, order[dst]
-
-
-def pair_blocks(n_pairs: int):
-    """Slices that cover ``n_pairs`` pairs, ``PAIR_BLOCK`` at a time."""
-    return (slice(b, b + PAIR_BLOCK) for b in range(0, n_pairs, PAIR_BLOCK))
+    dst = order[dst]
+    cell_type = np.min_scalar_type(n_cells)
+    cell = (ev_cat * A + ev_a).astype(cell_type)[src]
+    by_cell = np.argsort(cell, kind="stable")
+    bounds = np.searchsorted(cell[by_cell], np.arange(n_cells + 1, dtype=cell_type))
+    src = src[by_cell]  # one reordered copy alive at a time
+    return src, dst[by_cell], bounds
 
 
 def build_panel(
@@ -217,12 +252,11 @@ def build_panel(
     cp_slot = dst * A + ev_a[src]
     del src, dst
 
-    src, lp_dst = _same_action_pairs(ev_user, ev_a, A)
-    lp_dt = ev_t[lp_dst]
-    lp_dt -= ev_t[src]
-    lp_cell = ev_cat[src] * A
+    src, lp_dst, lp_bounds = _same_action_pairs(ev_user, ev_a, ev_cat, structure)
+    lp_log_dt = ev_t[lp_dst]
+    lp_log_dt -= ev_t[src]
     del src
-    lp_cell += ev_a[lp_dst]
+    np.log(np.maximum(lp_log_dt, TIE_EPSILON, out=lp_log_dt), out=lp_log_dt)
 
     arrays = dict(
         ev_user=ev_user,
@@ -240,8 +274,8 @@ def build_panel(
         cp_cell=cp_cell,
         cp_slot=cp_slot,
         lp_dst=lp_dst,
-        lp_dt=np.maximum(lp_dt, TIE_EPSILON, out=lp_dt),
-        lp_cell=lp_cell,
+        lp_log_dt=lp_log_dt,
+        lp_bounds=lp_bounds,
     )
     for arr in arrays.values():
         arr.flags.writeable = False

@@ -391,7 +391,7 @@ def export_params(
         lo, hi = s.tod_edges[c], s.tod_edges[c + 1]
         for a in range(s.n_actions):
             vals = weibull_kernel(
-                deltas, params.phi[c, a], params.gamma[c, a], params.kappa[c, a]
+                np.log(deltas), params.phi[c, a], params.gamma[c, a], params.kappa[c, a]
             )
             for d, v in zip(deltas, vals):
                 long_rows.append([c, lo, hi, names[a], repr(float(d)), repr(float(v))])

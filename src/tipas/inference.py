@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from ._panel import EventPanel, build_panel, pair_blocks
+from ._panel import EventPanel, build_panel
 from .errors import (
     DegenerateEventError,
     InvalidInputError,
@@ -120,7 +120,9 @@ class Responsibilities:
     ``pz[n, z]`` from background mixture ``z``, ``q[n, a']`` from the
     short-term excitation of its user's earlier events of action ``a'``, and
     ``r[i]`` from the Weibull recurrence of same-action pair ``i`` of
-    ``panel`` (``lp_*``).  For every event the pieces sum to one.
+    ``panel`` (``lp_*``, grouped by Weibull cell, so the pairs of cell c are
+    ``r[panel.lp_bounds[c]:panel.lp_bounds[c + 1]]``).  For every event the
+    pieces sum to one.
     ``q_dt[n, a']`` is ``q[n, a']`` with each earlier event's share weighted
     by its gap to event ``n``.
     """
@@ -163,7 +165,7 @@ def _e_step_panel(
             f"event {panel.event_label(bad)} receives zero intensity from "
             "every model component"
         )
-    for block in pair_blocks(r_raw.size):
+    for _, block in panel.cell_blocks:
         r_raw[block] /= lam[panel.lp_dst[block]]
     resp = Responsibilities(
         p0=a0 / lam if panel.n_events else a0,
@@ -219,7 +221,7 @@ def m_step_closed(
     if np.any((q_den <= 0) & (q_num > 0)):
         logger.warning("theta update saw responsibility mass with empty denominator")
 
-    r_num = np.bincount(panel.lp_cell, weights=resp.r, minlength=C * A).reshape(C, A)
+    r_num = panel.cell_sums(resp.r).reshape(C, A)
     phi = _ratio(r_num, r_den)
 
     return (
@@ -307,8 +309,10 @@ def exponential_objective(resp: Responsibilities, params: ModelParams):
     ``sum q * log(omega) - omega * sum q dt - sum q * log Q(omega)`` (up to a
     constant), where ``Q`` is the tail mass of :func:`tail_masses`.  The
     coordinate is ``x = log(omega)``, flattened row-major over (a', a).
-    Returns ``(objective, x0, active)`` in the form :func:`_ascend` takes;
-    ``active`` marks the cells with responsibility mass.
+    Returns ``(objective, x0, active)`` in the form :func:`_ascend` takes.
+    ``active`` marks the cells with responsibility mass and a weight above
+    ``PARAM_FLOOR``: at the floor a cell's bound is flat to rounding in its
+    shape, so that cell keeps its shape.
     """
     panel = resp.panel
     A = params.structure.n_actions
@@ -341,7 +345,7 @@ def exponential_objective(resp: Responsibilities, params: ModelParams):
 
     with np.errstate(divide="ignore"):
         x0 = np.log(params.omega).reshape(-1, 1)
-    return objective, x0, sq > 0
+    return objective, x0, (sq > 0) & (params.theta.reshape(-1) > PARAM_FLOOR)
 
 
 def weibull_objective(resp: Responsibilities, params: ModelParams):
@@ -352,23 +356,25 @@ def weibull_objective(resp: Responsibilities, params: ModelParams):
     out, where ``R`` is the tail mass of :func:`tail_masses`, the bound of a
     cell is, up to a constant,
     ``sum r * (log kappa + kappa (log dt - u) - (dt / e^u)^kappa) - sum r * log R``.
-    Returns ``(objective, x0, active)`` as :func:`exponential_objective`.
+    Returns ``(objective, x0, active)`` as :func:`exponential_objective`,
+    with ``phi`` as the weight.  The pair sums run one active cell at a time
+    over its slice of the panel, with the cell's ``u`` and ``kappa`` as
+    scalars; no caller reads the values of the other cells.
     """
     panel = resp.panel
     s = params.structure
     A = s.n_actions
     n = s.n_categories * A
-    pair_cell = panel.lp_cell
-    r = resp.r
-    log_dt = np.log(panel.lp_dt)
-    sr = np.bincount(pair_cell, weights=r, minlength=n)
-    sr_log = np.bincount(pair_cell, weights=r * log_dt, minlength=n)
+    r, log_dt = resp.r, panel.lp_log_dt
+    sr = panel.cell_sums(r)
+    active = (sr > 0) & (params.phi.reshape(-1) > PARAM_FLOOR)
+    blocks = [(c, log_dt[b], r[b]) for c, b in panel.cell_blocks if active[c]]
+    sr_log = np.zeros(n)
+    for c, log_dt_c, r_c in blocks:
+        sr_log[c] += (r_c * log_dt_c).sum()
     live = panel.ev_tail > 0
     ev_cell = (panel.ev_cat * A + panel.ev_a)[live]
     log_s = np.log(panel.ev_tail[live])
-
-    def pair_sum(weights):
-        return np.bincount(pair_cell, weights=weights, minlength=n)
 
     def event_sum(weights):
         return np.bincount(ev_cell, weights=weights, minlength=n)
@@ -376,18 +382,25 @@ def weibull_objective(resp: Responsibilities, params: ModelParams):
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def objective(x, derivatives=False):
         u, k = x[:, 0], x[:, 1]
-        xp = log_dt - u[pair_cell]  # log(dt / scale)
+        w0, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
+        u_cell, k_cell = u.tolist(), k.tolist()
+        for c, log_dt_c, r_c in blocks:
+            xp = log_dt_c - u_cell[c]  # log(dt / scale)
+            rw = np.exp(np.minimum(k_cell[c] * xp, EXP_LIMIT))
+            rw *= r_c  # r gamma dt^kappa
+            w0[c] += rw.sum()
+            if derivatives:
+                rw *= xp
+                w1[c] += rw.sum()
+                w2[c] += (rw * xp).sum()
         ye = log_s - u[ev_cell]
         ky = np.minimum(k[ev_cell] * ye, EXP_LIMIT)
         v = np.exp(ky)  # gamma s^kappa
-        rw = r * np.exp(np.minimum(k[pair_cell] * xp, EXP_LIMIT))  # r gamma dt^kappa
-        w0 = pair_sum(rw)
         tail = event_sum(-np.expm1(-v))
         linear = sr_log - u * sr
         f = xlogy(sr, k) + k * linear - w0 - xlogy(sr, tail)
         if not derivatives:
             return f
-        w1, w2 = pair_sum(rw * xp), pair_sum(rw * xp * xp)
         ev = np.exp(ky - v)  # gamma s^kappa exp(-gamma s^kappa)
         bend = ev * (1.0 - v)
         e0, e1, b0, b1, b2 = (
@@ -405,7 +418,7 @@ def weibull_objective(resp: Responsibilities, params: ModelParams):
     kappa = params.kappa.reshape(-1)
     with np.errstate(divide="ignore"):
         u0 = -np.log(params.gamma.reshape(-1)) / kappa
-    return objective, np.stack([u0, kappa], axis=1), sr > 0
+    return objective, np.stack([u0, kappa], axis=1), active
 
 
 def _mass_derivatives(mu, sigma, T: float) -> list[np.ndarray]:
@@ -486,8 +499,9 @@ def m_step_rate(
     """Kernel shapes: one guarded Newton step on the profiled bound of every
     exponential (a', a) cell in log omega and every Weibull (c, a) cell in
     (log scale, kappa).  Returns omega, gamma, kappa and the number of cells
-    that gave up; cells without responsibility mass, and cells that give up,
-    keep their values.  ``T`` is not read: the tails are in the panel."""
+    that gave up; cells without responsibility mass or with their weight at
+    ``PARAM_FLOOR``, and cells that give up, keep their values.  ``T`` is
+    not read: the tails are in the panel."""
     objective, x0, active = exponential_objective(resp, params)
     x, moved, fallbacks = _ascend(
         objective, x0, active, lambda x: np.clip(x, -EXP_LIMIT, EXP_LIMIT)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._panel import EventPanel, build_panel, check_histories, decay_sums, pair_blocks
+from ._panel import EventPanel, build_panel, check_histories, decay_sums
 from .errors import NumericalFailureError
 from .model import (
     ModelParams,
@@ -75,9 +75,11 @@ def event_contributions(
     the preference term, ``bg`` (N, Z) the per-mixture background,
     ``q_raw`` (N, A) the short-term term per (event, source action),
     ``q_dt_raw`` (N, A) the same with each pair's term weighted by its gap,
-    ``r_raw`` (L,) the per-pair Weibull values, and ``lam`` (N,) the sum of
-    ``a0``, ``bg``, ``q_raw`` and ``r_raw`` per event, i.e. the intensity at
-    (t_n, a_n).
+    ``r_raw`` (L,) the Weibull values of the same-action pairs in the
+    panel's order, and ``lam`` (N,) the sum of ``a0``, ``bg``, ``q_raw`` and
+    ``r_raw`` per event, i.e. the intensity at (t_n, a_n).  The Weibull
+    kernel runs one cell at a time, on the cell's stored log gaps with its
+    parameters as scalars.
     """
     n = panel.n_events
     alpha_panel = _alpha_matrix(params, panel.users)
@@ -89,15 +91,10 @@ def event_contributions(
     theta_omega = (params.theta * params.omega)[:, panel.ev_a].T  # (N, A)
     q_raw = theta_omega * K
     q_dt_raw = theta_omega * G
-    r_raw = np.empty(panel.lp_dt.size)
-    for block in pair_blocks(r_raw.size):
-        lp = panel.lp_cell[block]
-        r_raw[block] = weibull_kernel(
-            panel.lp_dt[block],
-            params.phi.ravel()[lp],
-            params.gamma.ravel()[lp],
-            params.kappa.ravel()[lp],
-        )
+    r_raw = np.empty(panel.lp_dst.size)
+    phi, gamma, kappa = (w.ravel().tolist() for w in (params.phi, params.gamma, params.kappa))
+    for c, block in panel.cell_blocks:
+        r_raw[block] = weibull_kernel(panel.lp_log_dt[block], phi[c], gamma[c], kappa[c])
     lam = a0 + bg.sum(axis=1)
     lam += q_raw.sum(axis=1)
     lam += np.bincount(panel.lp_dst, weights=r_raw, minlength=n)

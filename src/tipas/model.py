@@ -284,7 +284,7 @@ class ModelParams:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             raw_mode = ((ka - 1.0) / (safe_ga * ka)) ** (1.0 / ka)
         mode = np.where((ka > 1.0) & (ga > 0) & np.isfinite(raw_mode), raw_mode, 0.0)
-        peak = weibull_kernel(np.maximum(mode, TIE_EPSILON), ph, ga, ka)
+        peak = weibull_kernel(np.log(np.maximum(mode, TIE_EPSILON)), ph, ga, ka)
         weibull = np.stack([ka, ka - 1.0, -ga, ph * ga * ka, mode, peak, ph])
         background = self.beta / (self.sigma * _SQRT_2PI)
         theta_omega = self.theta * self.omega
@@ -330,14 +330,15 @@ def exp_kernel(dt: np.ndarray, theta: np.ndarray, omega: np.ndarray) -> np.ndarr
 
 
 def weibull_kernel(
-    dt: np.ndarray, phi: np.ndarray, gamma: np.ndarray, kappa: np.ndarray
+    log_dt: np.ndarray, phi: np.ndarray, gamma: np.ndarray, kappa: np.ndarray
 ) -> np.ndarray:
-    """Long-term kernel phi * gamma * kappa * dt^(kappa-1) * exp(-gamma * dt^kappa).
+    """Long-term kernel phi * gamma * kappa * dt^(kappa-1) * exp(-gamma * dt^kappa)
+    at the log gap ``log_dt = log(dt)``, dt strictly positive.
 
     Evaluated in log space so that huge dt^kappa underflows to zero instead
-    of producing inf * 0.  ``dt`` must be strictly positive.
+    of producing inf * 0.  Taking the log gap lets the pair panel compute
+    each pair's log once.
     """
-    log_dt = np.log(dt)
     with np.errstate(over="ignore"):
         power = np.exp(np.minimum(kappa * log_dt, 709.0))
     return phi * gamma * kappa * np.exp((kappa - 1.0) * log_dt - gamma * power)
@@ -395,7 +396,7 @@ def _intensity_vector_arrays(
         om = params.omega[actions]  # (n, A)
         lam = lam + (params.theta[actions] * om * np.exp(-om * dt[:, None])).sum(axis=0)
         h = weibull_kernel(
-            dt,
+            np.log(dt),
             params.phi[cats, actions],
             params.gamma[cats, actions],
             params.kappa[cats, actions],

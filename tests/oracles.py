@@ -9,6 +9,9 @@ rescanning the prefix, and ``tod_category`` is the scalar form of
 ``tod_categories``.  ``pair_panel`` and ``pair_event_contributions`` are the
 all-pairs form of the panel and the event terms: every ordered event pair of
 a user is stored with its clamped gap and summed directly.
+``pair_weibull_objective`` is the profiled Weibull bound of the M step
+summed pair by pair over that panel, with its derivatives written out from
+the formula.
 """
 
 import math
@@ -85,7 +88,7 @@ def quadrature_compensator(
             d = t - times[:k]
             lam = preference + _background_vector(params, t).sum()
             lam += exp_kernel(d[:, None], theta[:k], omega[:k]).sum()
-            lam += weibull_kernel(d, phi[:k], gamma[:k], kappa[:k]).sum()
+            lam += weibull_kernel(np.log(d), phi[:k], gamma[:k], kappa[:k]).sum()
             return float(lam)
 
         for lo, hi in zip(breaks[:-1], breaks[1:]):
@@ -163,7 +166,7 @@ def long_term_intensity(
         return 0.0
     dt = clamp_gaps(t - times[mask])
     c = cats[mask]
-    vals = weibull_kernel(dt, params.phi[c, a], params.gamma[c, a], params.kappa[c, a])
+    vals = weibull_kernel(np.log(dt), params.phi[c, a], params.gamma[c, a], params.kappa[c, a])
     return float(vals.sum())
 
 
@@ -294,7 +297,7 @@ def pair_event_contributions(
     sp, lp = panel.sp_cell, panel.lp_cell
     q_raw = exp_kernel(panel.sp_dt, params.theta.ravel()[sp], params.omega.ravel()[sp])
     r_raw = weibull_kernel(
-        panel.lp_dt,
+        np.log(panel.lp_dt),
         params.phi.ravel()[lp],
         params.gamma.ravel()[lp],
         params.kappa.ravel()[lp],
@@ -303,3 +306,60 @@ def pair_event_contributions(
     lam += np.bincount(panel.sp_dst, weights=q_raw, minlength=n)
     lam += np.bincount(panel.lp_dst, weights=r_raw, minlength=n)
     return a0, bg, q_raw, r_raw, lam
+
+
+def pair_weibull_objective(params: ModelParams, panel: PairPanel, r: np.ndarray):
+    """``objective(x)``: value (n,), gradient (n, 2) and Hessian (n, 2, 2)
+    per Weibull (c, a) cell at ``x = (u, kappa)``, u the log of the Weibull
+    scale, of the profiled bound
+    ``sum r (log kappa + kappa xp - e^(kappa xp)) - sum r * log R``, with
+    ``xp = log dt - u`` over the cell's same-action pairs ``panel.lp_*``,
+    weighted by their responsibilities ``r``, and ``R`` the tail mass
+    ``sum (1 - exp(-e^(kappa (log s - u))))`` over the cell's events, s the
+    hours each has left to ``T``."""
+    A = params.structure.n_actions
+    n = params.structure.n_categories * A
+    cell = panel.lp_cell
+    log_dt = np.log(panel.lp_dt)
+    live = panel.ev_tail > 0
+    ev_cell = (panel.ev_cat * A + panel.ev_a)[live]
+    log_s = np.log(panel.ev_tail[live])
+
+    def pair_sum(w):
+        return np.bincount(cell, weights=w, minlength=n)
+
+    def event_sum(w):
+        return np.bincount(ev_cell, weights=w, minlength=n)
+
+    sr = pair_sum(r)
+
+    def objective(x):
+        u, k = x[:, 0], x[:, 1]
+        xp = log_dt - u[cell]
+        e = np.exp(k[cell] * xp)
+        f = pair_sum(r * (np.log(k[cell]) + k[cell] * xp - e))
+        g = np.stack([pair_sum(r * k[cell] * (e - 1.0)),
+                      pair_sum(r * (1.0 / k[cell] + xp - xp * e))], axis=1)
+        h_uu = pair_sum(-r * k[cell] ** 2 * e)
+        h_uk = pair_sum(r * (e - 1.0 + k[cell] * xp * e))
+        h_kk = pair_sum(-r * (1.0 / k[cell] ** 2 + xp * xp * e))
+        # the tail mass R and its derivatives, then those of log R
+        ye = log_s - u[ev_cell]
+        ke = k[ev_cell]
+        v = np.exp(ke * ye)
+        m = v * np.exp(-v)
+        bend = m * (1.0 - v)
+        R = event_sum(-np.expm1(-v))
+        dR = np.stack([event_sum(-ke * m), event_sum(ye * m)], axis=1) / R[:, None]
+        d2R_uu = event_sum(ke * ke * bend) / R
+        d2R_uk = event_sum(-m - ke * ye * bend) / R
+        d2R_kk = event_sum(ye * ye * bend) / R
+        f -= sr * np.log(R)
+        g -= sr[:, None] * dR
+        h_uu -= sr * (d2R_uu - dR[:, 0] ** 2)
+        h_uk -= sr * (d2R_uk - dR[:, 0] * dR[:, 1])
+        h_kk -= sr * (d2R_kk - dR[:, 1] ** 2)
+        hess = np.stack([np.stack([h_uu, h_uk], -1), np.stack([h_uk, h_kk], -1)], -2)
+        return f, g, hess
+
+    return objective

@@ -180,7 +180,7 @@ class TestExportParams:
         for cat, lo, hi, action, d, v in rows(long_path):
             c, a = int(cat), names.index(action)
             assert (float(lo), float(hi)) == p.structure.tod_edges[c : c + 2]
-            expect = weibull_kernel(float(d), p.phi[c, a], p.gamma[c, a], p.kappa[c, a])
+            expect = weibull_kernel(np.log(float(d)), p.phi[c, a], p.gamma[c, a], p.kappa[c, a])
             assert float(v) == pytest.approx(expect, rel=1e-14, abs=0.0)
         for src, dst, d, v in rows(short_path):
             i, j = names.index(src), names.index(dst)

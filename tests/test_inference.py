@@ -201,6 +201,28 @@ class TestMStepRate:
         assert kappa[0, 0] == 0.7
         assert fallbacks == 0
 
+    def test_weight_at_floor_keeps_shape(self):
+        # a cell with responsibility mass but its weight at PARAM_FLOOR has a
+        # bound flat to rounding in its shape, so it keeps its shape
+        rng = np.random.default_rng(3)
+        hs = random_histories(rng, n_users=3, max_events=60, horizon=100.0)
+        p = random_params(rng, horizon=100.0, users=tuple(h.user for h in hs))
+        theta, phi = p.theta.copy(), p.phi.copy()
+        theta[0, 1] = PARAM_FLOOR
+        phi[1, 0] = PARAM_FLOOR
+        p = replace(p, theta=theta, phi=phi)
+        resp = e_step(p, hs)
+        # flat cells: (a', a) = (0, 1) is 1, (c, a) = (1, 0) is 2
+        assert resp.panel.source_cell_sums(resp.q)[1] > 0
+        assert resp.panel.cell_sums(resp.r)[2] > 0
+        assert not exponential_objective(resp, p)[2][1]
+        assert not weibull_objective(resp, p)[2][2]
+        omega, gamma, kappa, _ = m_step_rate(resp, p, 100.0)
+        assert omega[0, 1] == p.omega[0, 1]
+        assert (gamma[1, 0], kappa[1, 0]) == (p.gamma[1, 0], p.kappa[1, 0])
+        # the cells above the floor still move
+        assert omega[0, 0] != p.omega[0, 0] and gamma[0, 0] != p.gamma[0, 0]
+
 
 def block_problems(resp, p, T):
     """The three profiled objectives with, per block, the map from its

@@ -1,4 +1,5 @@
-"""The chunked exponential-kernel sums against the all-pairs oracle."""
+"""The chunked exponential-kernel sums and the per-cell Weibull sums against
+the all-pairs oracle."""
 
 import tracemalloc
 from dataclasses import replace
@@ -9,12 +10,14 @@ from scipy.special import xlogy
 
 from tipas import UserHistory
 from tipas._panel import CHUNK_EVENTS, build_panel
-from tipas.inference import PARAM_FLOOR, _e_step_panel, exponential_objective, m_step_closed
+from tipas.inference import (
+    PARAM_FLOOR, _e_step_panel, exponential_objective, m_step_closed, weibull_objective,
+)
 from tipas.likelihood import tail_masses
 from tipas.model import TIE_EPSILON
 
 from conftest import random_params
-from oracles import pair_event_contributions, pair_panel
+from oracles import pair_event_contributions, pair_panel, pair_weibull_objective
 
 HORIZON = 400.0
 
@@ -87,6 +90,55 @@ def test_sums_match_all_pairs_oracle(seed, omega_range):
     assert np.array_equal(panel.sp_src, oracle.sp_src)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weibull_cell_sums_match_all_pairs_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n_actions = 3
+    hs = histories(rng, n_actions)
+    p = random_params(rng, n_actions=n_actions, horizon=HORIZON,
+                      users=tuple(h.user for h in hs), kappa_range=(0.3, 3.0))
+    # one cell at the weight floor, which keeps its shape
+    phi = p.phi.copy()
+    phi[1, 2] = PARAM_FLOOR
+    p = replace(p, phi=phi)
+    panel = build_panel(hs, p.structure, HORIZON)
+    oracle = pair_panel(hs, p.structure, HORIZON)
+    _, _, _, r_raw, lam_pairs = pair_event_contributions(p, oracle)
+    resp, _ = _e_step_panel(p, panel)
+
+    # each cell's slice holds exactly that cell's pairs
+    A = n_actions
+    n_cells = p.structure.n_categories * A
+    cell = panel.ev_cat[panel.lp_src] * A + panel.ev_a[panel.lp_dst]
+    assert np.array_equal(cell, np.repeat(np.arange(n_cells), np.diff(panel.lp_bounds)))
+    assert panel.lp_bounds[0] == 0 and panel.lp_bounds[-1] == panel.lp_dst.size
+    close(panel.lp_log_dt, np.log(np.maximum(panel.ev_t[panel.lp_dst]
+                                             - panel.ev_t[panel.lp_src], TIE_EPSILON)))
+
+    r = r_raw / lam_pairs[oracle.lp_dst]
+    sr = np.bincount(oracle.lp_cell, weights=r, minlength=n_cells)
+    sr_log = np.bincount(oracle.lp_cell, weights=r * np.log(oracle.lp_dt), minlength=n_cells)
+    close(panel.cell_sums(resp.r), sr)
+    close(panel.cell_sums(resp.r * panel.lp_log_dt), sr_log)
+
+    _, r_den = tail_masses(p, oracle.ev_tail, oracle.ev_a, oracle.ev_cat)
+    phi = m_step_closed(resp, p, HORIZON)[3]
+    want = np.where(r_den > 0, sr.reshape(r_den.shape) / np.where(r_den > 0, r_den, 1.0), 0.0)
+    close(phi, np.maximum(want, PARAM_FLOOR))
+
+    objective, x0, active = weibull_objective(resp, p)
+    assert np.array_equal(active, (sr > 0) & (p.phi.reshape(-1) > PARAM_FLOOR))
+    assert not active[1 * A + 2]
+    # only the active cells' values are read
+    expected = pair_weibull_objective(p, oracle, r)
+    moved = x0 + rng.uniform(-0.3, 0.3, x0.shape)
+    for x in (x0, moved):
+        got = objective(x, derivatives=True)
+        for g, w in zip(got, expected(x)):
+            close(g[active], w[active])
+        close(objective(x), got[0])
+
+
 def test_chunks_never_split_ties():
     rng = np.random.default_rng(7)
     hs = histories(rng, 2)
@@ -123,3 +175,10 @@ def test_memory_is_a_fraction_of_all_pairs():
         tracemalloc.stop()
     all_pairs_bytes = 32 * (n * (n - 1) // 2 + panel.lp_dst.size)
     assert peak < all_pairs_bytes / 4
+    # the same-action pairs: a log gap and a later event each, plus the
+    # start of every Weibull cell
+    same_action_bytes = sum(
+        getattr(panel, f).nbytes for f in panel.__dataclass_fields__ if f.startswith("lp_")
+    )
+    n_cells = p.structure.n_categories * n_actions
+    assert same_action_bytes <= 16 * panel.lp_dst.size + 8 * (n_cells + 1)

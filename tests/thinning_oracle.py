@@ -39,12 +39,12 @@ def _bound_arrays(
         ph = params.phi[cats, actions]
         ga = params.gamma[cats, actions]
         ka = params.kappa[cats, actions]
-        h_now = weibull_kernel(dt, ph, ga, ka)
+        h_now = weibull_kernel(np.log(dt), ph, ga, ka)
         safe_ga = np.where(ga > 0, ga, 1.0)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             raw_mode = ((ka - 1.0) / (safe_ga * ka)) ** (1.0 / ka)
         mode = np.where((ka > 1.0) & (ga > 0) & np.isfinite(raw_mode), raw_mode, 0.0)
-        peak = weibull_kernel(np.maximum(mode, TIE_EPSILON), ph, ga, ka)
+        peak = weibull_kernel(np.log(np.maximum(mode, TIE_EPSILON)), ph, ga, ka)
         # decreasing beyond the mode, so the window sup sits at the left edge
         bound += float(np.where(dt < mode, peak, h_now).sum())
     return bound
