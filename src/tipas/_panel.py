@@ -9,30 +9,38 @@ acts on the pairs inside a chunk.  Those pairs are stored (``cp_*``, about
 decayed (A, A) states carried from chunk start to chunk start (Ozaki's
 recursion), see :func:`decay_sums`.  The Weibull kernel has no such recursion
 for a general shape, so its same-action pairs are stored (``lp_*``, a log gap
-and a later event each), grouped by Weibull cell.  Memory is
+and a later event each), ordered by Weibull cell, then by log gap.  Memory is
 O(N * CHUNK_EVENTS + same-action pairs).
+
+Inside a cell the kernel is exactly zero beyond one log gap that moves with
+the cell's shape, so each cell has a live range, a run of its sorted pairs
+(:meth:`EventPanel.live_blocks`), and the E step and the M-step sums visit
+O(pairs with a nonzero term), not every stored pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .model import (
-    DAY_HOURS, TIE_EPSILON, ModelStructure, UserHistory, check_positive, clamp_gaps,
-    tod_categories,
+    DAY_HOURS, POWER_LOG_CAP, TIE_EPSILON, ModelStructure, UserHistory, check_positive,
+    clamp_gaps, tod_categories,
 )
 
 # Target number of events per chunk; a run of ties can make a chunk longer.
 CHUNK_EVENTS = 32
 # Same-action pairs are evaluated at most this many at a time (see
-# ``EventPanel.cell_blocks``), which bounds the temporaries of the Weibull
+# ``EventPanel.live_blocks``), which bounds the temporaries of the Weibull
 # kernel and of its M-step sums.
 PAIR_BLOCK = 1 << 14
+# A Weibull pair whose kernel exponent (kappa - 1) x - gamma e^(kappa x), at
+# its log gap x, lies below this is exactly zero: exp underflows to 0 below
+# about -745.1, and the margin dwarfs any rounding in the exponent.
+LIVE_EXPONENT = -800.0
 
 
 @dataclass(frozen=True)
@@ -44,12 +52,17 @@ class EventPanel:
     the (A, A) exponential ones (``params.omega.ravel()[panel.cp_cell]``).
     The same-action pairs are ordered by their Weibull cell ``c_src * A + a``
     (c_src the earlier event's category), a flat index into the (C, A)
-    Weibull arrays: the pairs of cell c are ``lp_bounds[c]:lp_bounds[c + 1]``
-    (see ``cell_blocks``), and inside a cell they keep the (user,
-    action, later event, earlier event) order.  The earlier event of each
-    pair, ``sp_src`` for every pair and ``lp_src`` for the same-action ones,
-    is built on demand: no EM code reads it, and the benchmark tracer counts
-    the pairs by its size."""
+    Weibull arrays, then by log gap: the pairs of cell c are
+    ``lp_bounds[c]:lp_bounds[c + 1]``, and equal log gaps come in an order
+    that the data fixes, so a rebuild gives the same panel.  :meth:`live_blocks`
+    finds the slice of each cell where the kernel can be nonzero.  The
+    earlier event of each pair, ``sp_src`` for every pair and ``lp_src`` for
+    the same-action ones, is built on demand: no EM code reads it, and the
+    benchmark tracer counts the pairs by its size.
+
+    Every array is read-only.  Sums over a pair index (``cp_slot``,
+    ``lp_dst``) scatter with ``np.add.at``, which reads a read-only index in
+    place; ``np.bincount`` would first copy it."""
 
     structure: ModelStructure
     T: float
@@ -78,7 +91,7 @@ class EventPanel:
     cp_slot: np.ndarray  # dst * A + a_src, a flat index into an (N, A) field
 
     # every (earlier, later) same-action pair within a user, length L,
-    # grouped by Weibull cell
+    # ordered by Weibull cell, then by log gap
     lp_dst: np.ndarray
     lp_log_dt: np.ndarray  # log of the clamped gap
     lp_bounds: np.ndarray  # (C * A + 1,) start of each cell's pairs
@@ -106,27 +119,46 @@ class EventPanel:
     def lp_src(self) -> np.ndarray:
         """Earlier event of every same-action pair, aligned with ``lp_dst``;
         built on each call."""
-        return _same_action_pairs(self.ev_user, self.ev_a, self.ev_cat, self.structure)[0]
+        return _same_action_pairs(
+            self.ev_user, self.ev_t, self.ev_a, self.ev_cat, self.structure
+        )[0]
 
-    @cached_property
-    def cell_blocks(self) -> tuple[tuple[int, slice], ...]:
-        """``(cell, slice)`` over the same-action pairs of every non-empty
-        Weibull cell in cell order, at most ``PAIR_BLOCK`` pairs a slice;
-        built once per panel."""
-        bounds = self.lp_bounds.tolist()
-        return tuple(
-            (c, slice(b, min(b + PAIR_BLOCK, hi)))
-            for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-            for b in range(lo, hi, PAIR_BLOCK)
+    def live_blocks(
+        self, phi: np.ndarray, gamma: np.ndarray, kappa: np.ndarray
+    ) -> tuple[tuple[int, slice], ...]:
+        """``(cell, slice)`` over the same-action pairs whose Weibull term can
+        be nonzero at these (C, A) parameters, in cell order, at most
+        ``PAIR_BLOCK`` pairs a slice; every other pair's kernel is exactly 0.
+
+        The kernel is ``phi gamma kappa exp(g(x))`` at the log gap x, with
+        ``g(x) = (kappa - 1) x - gamma e^(kappa x)`` concave.  Where g rises,
+        ``gamma e^(kappa x) < 1``, so ``g > (kappa - 1) x_min - 1`` there (x_min
+        the cell's smallest gap).  While that bound exceeds
+        ``LIVE_EXPONENT + 1``, which holds for any kappa <= KAPPA_MAX on gaps
+        of at least TIE_EPSILON, the pairs with ``g < LIVE_EXPONENT`` are a
+        suffix of the cell, found by one bisection over all cells.  A cell
+        with ``phi gamma kappa == 0`` has no live pair; one whose weight is
+        not finite, whose gaps reach ``kappa x >= POWER_LOG_CAP`` (where the
+        kernel caps the power) or whose bound fails is kept whole."""
+        lo, hi = self.lp_bounds[:-1], self.lp_bounds[1:]
+        phi, gamma, kappa = (np.ravel(w) for w in (phi, gamma, kappa))
+        weight = phi * gamma * kappa
+        end = np.where((weight != 0) & (hi > lo), hi, lo)
+        cells = np.flatnonzero(end > lo)
+        x, k = self.lp_log_dt, kappa[cells]
+        # where g rises, g > (kappa - 1) x_min - 1 > LIVE_EXPONENT + 1
+        cut = (
+            np.isfinite(weight[cells])
+            & (k * x[hi[cells] - 1] < POWER_LOG_CAP)
+            & ((k <= 1.0) | ((k - 1.0) * x[lo[cells]] > LIVE_EXPONENT + 2.0))
         )
-
-    def cell_sums(self, field: np.ndarray) -> np.ndarray:
-        """Sums of a per-pair field, aligned with ``lp_dst``, over each
-        Weibull cell; shape (C * A,)."""
-        out = np.zeros(self.lp_bounds.size - 1)
-        for c, b in self.cell_blocks:
-            out[c] += field[b].sum()
-        return out
+        cells = cells[cut]
+        end[cells] = _live_end(x, lo[cells], hi[cells], gamma[cells], kappa[cells])
+        return tuple(
+            (c, slice(b, min(b + PAIR_BLOCK, e)))
+            for c, (s, e) in enumerate(zip(lo.tolist(), end.tolist()))
+            for b in range(s, e, PAIR_BLOCK)
+        )
 
     def source_cell_sums(self, field: np.ndarray) -> np.ndarray:
         """Sums of an (N, A) field, indexed (event n, source action a'), over
@@ -182,14 +214,19 @@ def _pairs_within(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _same_action_pairs(
-    ev_user: np.ndarray, ev_a: np.ndarray, ev_cat: np.ndarray, structure: ModelStructure
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(earlier, later) event indices of every same-action pair within a
-    user, and the start of each Weibull cell's pairs (``lp_bounds``).
+    ev_user: np.ndarray,
+    ev_t: np.ndarray,
+    ev_a: np.ndarray,
+    ev_cat: np.ndarray,
+    structure: ModelStructure,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(earlier, later) event indices and log gaps of every same-action pair
+    within a user, and the start of each Weibull cell's pairs
+    (``lp_bounds``).
 
     The pairs are built per (user, action) group, then sorted by cell with a
-    stable sort of a small integer key (a radix sort), which keeps the group
-    order inside a cell."""
+    stable sort of a small integer key (a radix sort), then inside each cell
+    by log gap."""
     A = structure.n_actions
     n_cells = structure.n_categories * A
     order = np.argsort(ev_user * A + ev_a, kind="stable")
@@ -199,10 +236,39 @@ def _same_action_pairs(
     dst = order[dst]
     cell_type = np.min_scalar_type(n_cells)
     cell = (ev_cat * A + ev_a).astype(cell_type)[src]
-    by_cell = np.argsort(cell, kind="stable")
-    bounds = np.searchsorted(cell[by_cell], np.arange(n_cells + 1, dtype=cell_type))
-    src = src[by_cell]  # one reordered copy alive at a time
-    return src, dst[by_cell], bounds
+    order = np.argsort(cell, kind="stable")  # 8 bytes per pair, the one transient
+    bounds = np.searchsorted(cell[order], np.arange(n_cells + 1, dtype=cell_type))
+    del cell
+    # one reordered copy alive at a time
+    src = src[order]
+    dst = dst[order]
+    del order
+    log_dt = ev_t[dst]
+    log_dt -= ev_t[src]
+    np.log(np.maximum(log_dt, TIE_EPSILON, out=log_dt), out=log_dt)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        by_gap = np.argsort(log_dt[lo:hi])
+        for arr in (src, dst, log_dt):
+            arr[lo:hi] = arr[lo:hi][by_gap]
+    return src, dst, log_dt, bounds
+
+
+def _live_end(
+    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, gamma: np.ndarray, kappa: np.ndarray
+) -> np.ndarray:
+    """For each sorted cell slice ``x[lo:hi]`` whose pairs with
+    ``g(x) = (kappa - 1) x - gamma e^(kappa x) < LIVE_EXPONENT`` form a
+    suffix, the start of that suffix (``hi`` if empty), by one bisection
+    over all cells at once."""
+    last = x.size - 1
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) >> 1
+        xm = x[np.minimum(mid, last)]
+        with np.errstate(over="ignore"):
+            dead = (kappa - 1.0) * xm - gamma * np.exp(kappa * xm) < LIVE_EXPONENT
+        hi = np.where(open_ & dead, mid, hi)
+        lo = np.where(open_ & ~dead, mid + 1, lo)
+    return lo
 
 
 def build_panel(
@@ -252,11 +318,7 @@ def build_panel(
     cp_slot = dst * A + ev_a[src]
     del src, dst
 
-    src, lp_dst, lp_bounds = _same_action_pairs(ev_user, ev_a, ev_cat, structure)
-    lp_log_dt = ev_t[lp_dst]
-    lp_log_dt -= ev_t[src]
-    del src
-    np.log(np.maximum(lp_log_dt, TIE_EPSILON, out=lp_log_dt), out=lp_log_dt)
+    _, lp_dst, lp_log_dt, lp_bounds = _same_action_pairs(ev_user, ev_t, ev_a, ev_cat, structure)
 
     arrays = dict(
         ev_user=ev_user,
@@ -324,8 +386,11 @@ def decay_sums(panel: EventPanel, omega: np.ndarray) -> tuple[np.ndarray, np.nda
     at = (panel.ev_chunk[:, None], np.arange(A), panel.ev_a[:, None])
     K = w * S[at]
     G = w * (delta[:, None] * S[at] + S1[at])
-    # the pairs inside each chunk (an empty bincount is integer, so add it)
+    # the pairs inside each chunk
     e = np.exp(-omega.ravel()[panel.cp_cell] * panel.cp_dt)
-    K += np.bincount(panel.cp_slot, weights=e, minlength=n * A).reshape(n, A)
-    G += np.bincount(panel.cp_slot, weights=e * panel.cp_dt, minlength=n * A).reshape(n, A)
+    inner = np.zeros((2, n * A))
+    np.add.at(inner[0], panel.cp_slot, e)
+    np.add.at(inner[1], panel.cp_slot, e * panel.cp_dt)
+    K += inner[0].reshape(n, A)
+    G += inner[1].reshape(n, A)
     return K, G

@@ -120,9 +120,11 @@ class Responsibilities:
     ``pz[n, z]`` from background mixture ``z``, ``q[n, a']`` from the
     short-term excitation of its user's earlier events of action ``a'``, and
     ``r[i]`` from the Weibull recurrence of same-action pair ``i`` of
-    ``panel`` (``lp_*``, grouped by Weibull cell, so the pairs of cell c are
-    ``r[panel.lp_bounds[c]:panel.lp_bounds[c + 1]]``).  For every event the
-    pieces sum to one.
+    ``panel`` (``lp_*``, ordered by Weibull cell, then by log gap).  ``r``
+    is exactly 0 outside ``live``, the panel's
+    :meth:`~EventPanel.live_blocks` at the E step's parameters, so every
+    sum over the pairs visits ``live`` only.  For every event the pieces sum
+    to one.
     ``q_dt[n, a']`` is ``q[n, a']`` with each earlier event's share weighted
     by its gap to event ``n``.
     """
@@ -132,14 +134,24 @@ class Responsibilities:
     q: np.ndarray
     q_dt: np.ndarray
     r: np.ndarray
+    live: tuple[tuple[int, slice], ...]
     panel: EventPanel = field(repr=False)
+
+    def cell_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sums over each Weibull cell of a per-pair field, aligned with
+        ``panel.lp_dst``, that is 0 wherever ``r`` is (``r`` times anything
+        finite); shape (C * A,)."""
+        out = np.zeros(self.panel.lp_bounds.size - 1)
+        for c, block in self.live:
+            out[c] += values[block].sum()
+        return out
 
     def event_totals(self) -> np.ndarray:
         """Sum of all attributions per event; should be 1 everywhere."""
-        n = self.panel.n_events
         tot = self.p0 + self.pz.sum(axis=1)
         tot += self.q.sum(axis=1)
-        tot += np.bincount(self.panel.lp_dst, weights=self.r, minlength=n)
+        for _, block in self.live:
+            np.add.at(tot, self.panel.lp_dst[block], self.r[block])
         return tot
 
 
@@ -158,14 +170,14 @@ def e_step(params: ModelParams, histories: Sequence[UserHistory]) -> Responsibil
 def _e_step_panel(
     params: ModelParams, panel: EventPanel
 ) -> tuple[Responsibilities, np.ndarray]:
-    a0, bg, q_raw, q_dt_raw, r_raw, lam = event_contributions(params, panel)
+    a0, bg, q_raw, q_dt_raw, r_raw, live, lam = event_contributions(params, panel)
     if panel.n_events and lam.min() <= 0.0:
         bad = int(np.argmin(lam))
         raise DegenerateEventError(
             f"event {panel.event_label(bad)} receives zero intensity from "
             "every model component"
         )
-    for _, block in panel.cell_blocks:
+    for _, block in live:
         r_raw[block] /= lam[panel.lp_dst[block]]
     resp = Responsibilities(
         p0=a0 / lam if panel.n_events else a0,
@@ -173,6 +185,7 @@ def _e_step_panel(
         q=q_raw / lam[:, None],
         q_dt=q_dt_raw / lam[:, None],
         r=r_raw,
+        live=live,
         panel=panel,
     )
     return resp, lam
@@ -221,7 +234,7 @@ def m_step_closed(
     if np.any((q_den <= 0) & (q_num > 0)):
         logger.warning("theta update saw responsibility mass with empty denominator")
 
-    r_num = panel.cell_sums(resp.r).reshape(C, A)
+    r_num = resp.cell_sums(resp.r).reshape(C, A)
     phi = _ratio(r_num, r_den)
 
     return (
@@ -358,17 +371,19 @@ def weibull_objective(resp: Responsibilities, params: ModelParams):
     ``sum r * (log kappa + kappa (log dt - u) - (dt / e^u)^kappa) - sum r * log R``.
     Returns ``(objective, x0, active)`` as :func:`exponential_objective`,
     with ``phi`` as the weight.  The pair sums run one active cell at a time
-    over its slice of the panel, with the cell's ``u`` and ``kappa`` as
-    scalars; no caller reads the values of the other cells.
+    over its live blocks (``resp.live``), with the cell's ``u`` and
+    ``kappa`` as scalars: a pair outside them has ``r`` exactly 0 and adds
+    exactly 0 at every ``x``.  No caller reads the values of the other
+    cells.
     """
     panel = resp.panel
     s = params.structure
     A = s.n_actions
     n = s.n_categories * A
     r, log_dt = resp.r, panel.lp_log_dt
-    sr = panel.cell_sums(r)
+    sr = resp.cell_sums(r)
     active = (sr > 0) & (params.phi.reshape(-1) > PARAM_FLOOR)
-    blocks = [(c, log_dt[b], r[b]) for c, b in panel.cell_blocks if active[c]]
+    blocks = [(c, log_dt[b], r[b]) for c, b in resp.live if active[c]]
     sr_log = np.zeros(n)
     for c, log_dt_c, r_c in blocks:
         sr_log[c] += (r_c * log_dt_c).sum()

@@ -39,6 +39,9 @@ DAY_HOURS = 24.0
 # much (hours).
 TIE_EPSILON = 1e-6
 
+# The Weibull kernel caps kappa * log(dt) here, so dt^kappa stays finite.
+POWER_LOG_CAP = 709.0
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -340,7 +343,7 @@ def weibull_kernel(
     each pair's log once.
     """
     with np.errstate(over="ignore"):
-        power = np.exp(np.minimum(kappa * log_dt, 709.0))
+        power = np.exp(np.minimum(kappa * log_dt, POWER_LOG_CAP))
     return phi * gamma * kappa * np.exp((kappa - 1.0) * log_dt - gamma * power)
 
 
@@ -507,7 +510,7 @@ class _StreamState:
         factors precomputed."""
         dt = np.maximum(t - self._t_src, TIE_EPSILON)
         log_dt = np.log(dt)
-        power = np.exp(np.minimum(self._kappa * log_dt, 709.0))
+        power = np.exp(np.minimum(self._kappa * log_dt, POWER_LOG_CAP))
         return dt, self._scale * np.exp(self._kappa_m1 * log_dt + self._neg_gamma * power)
 
     def _prune(self, dt: np.ndarray, h: np.ndarray) -> None:

@@ -214,7 +214,7 @@ class TestMStepRate:
         resp = e_step(p, hs)
         # flat cells: (a', a) = (0, 1) is 1, (c, a) = (1, 0) is 2
         assert resp.panel.source_cell_sums(resp.q)[1] > 0
-        assert resp.panel.cell_sums(resp.r)[2] > 0
+        assert resp.cell_sums(resp.r)[2] > 0
         assert not exponential_objective(resp, p)[2][1]
         assert not weibull_objective(resp, p)[2][2]
         omega, gamma, kappa, _ = m_step_rate(resp, p, 100.0)

@@ -1,5 +1,5 @@
 """The chunked exponential-kernel sums and the per-cell Weibull sums against
-the all-pairs oracle."""
+the all-pairs oracle, and the exactness of the Weibull live ranges."""
 
 import tracemalloc
 from dataclasses import replace
@@ -9,12 +9,13 @@ import pytest
 from scipy.special import xlogy
 
 from tipas import UserHistory
-from tipas._panel import CHUNK_EVENTS, build_panel
+from tipas._panel import CHUNK_EVENTS, PAIR_BLOCK, build_panel, decay_sums
 from tipas.inference import (
-    PARAM_FLOOR, _e_step_panel, exponential_objective, m_step_closed, weibull_objective,
+    EXP_LIMIT, KAPPA_MAX, PARAM_FLOOR, _e_step_panel, exponential_objective, m_step_closed,
+    weibull_objective,
 )
 from tipas.likelihood import tail_masses
-from tipas.model import TIE_EPSILON
+from tipas.model import TIE_EPSILON, weibull_kernel
 
 from conftest import random_params
 from oracles import pair_event_contributions, pair_panel, pair_weibull_objective
@@ -118,8 +119,8 @@ def test_weibull_cell_sums_match_all_pairs_oracle(seed):
     r = r_raw / lam_pairs[oracle.lp_dst]
     sr = np.bincount(oracle.lp_cell, weights=r, minlength=n_cells)
     sr_log = np.bincount(oracle.lp_cell, weights=r * np.log(oracle.lp_dt), minlength=n_cells)
-    close(panel.cell_sums(resp.r), sr)
-    close(panel.cell_sums(resp.r * panel.lp_log_dt), sr_log)
+    close(resp.cell_sums(resp.r), sr)
+    close(resp.cell_sums(resp.r * panel.lp_log_dt), sr_log)
 
     _, r_den = tail_masses(p, oracle.ev_tail, oracle.ev_a, oracle.ev_cat)
     phi = m_step_closed(resp, p, HORIZON)[3]
@@ -137,6 +138,139 @@ def test_weibull_cell_sums_match_all_pairs_oracle(seed):
         for g, w in zip(got, expected(x)):
             close(g[active], w[active])
         close(objective(x), got[0])
+
+
+def extreme_weibull(rng, shape):
+    """phi, gamma, kappa with kappa log-uniform on [1e-3, KAPPA_MAX] and one
+    cell at each end, Weibull scales from e^-5 to e^10, one gamma near
+    e^700 or e^-700, and about a fifth of the cells at phi = 0."""
+    kappa = np.exp(rng.uniform(np.log(1e-3), np.log(KAPPA_MAX), shape))
+    ends = rng.choice(kappa.size, 2, replace=False)
+    kappa.flat[ends] = (1e-3, KAPPA_MAX)
+    gamma = np.exp(np.clip(-kappa * rng.uniform(-5.0, 10.0, shape), -EXP_LIMIT, EXP_LIMIT))
+    gamma.flat[rng.integers(gamma.size)] = np.exp(rng.choice([-1.0, 1.0]) * rng.uniform(690, 700))
+    phi = rng.uniform(0.0, 0.5, shape) * (rng.random(shape) > 0.2)
+    return phi, gamma, kappa
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_live_ranges_are_exact(seed):
+    """Every pair outside its cell's live range has a Weibull term of exactly
+    0.0, and each range is one contiguous run of the cell's pairs, over 80
+    extreme parameter sets per seed.  A user whose gaps reach 1e9 hours takes
+    kappa log(dt) past the kernel's power cap.  The pairs of a cell are sorted
+    by log gap."""
+    rng = np.random.default_rng(seed)
+    n_actions = 3
+    far = np.array([0.0, 0.0, 0.3 * TIE_EPSILON, 1.0, 30.0, 1e9, 1e9 + 2.0])
+    hs = histories(rng, n_actions) + [UserHistory.from_arrays("far", far, np.zeros(far.size, int))]
+    structure = random_params(rng, n_actions=n_actions).structure
+    panel = build_panel(hs, structure, 2e9)
+    bounds, x = panel.lp_bounds.tolist(), panel.lp_log_dt
+    n_cells = len(bounds) - 1
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert np.all(np.diff(x[lo:hi]) >= 0)
+    skipped = kept = 0
+    for _ in range(80):
+        phi, gamma, kappa = extreme_weibull(rng, (structure.n_categories, n_actions))
+        blocks = panel.live_blocks(phi, gamma, kappa)
+        cells = [c for c, _ in blocks]
+        assert cells == sorted(cells)
+        for c in range(n_cells):
+            run = [b for cc, b in blocks if cc == c]
+            lo, hi = bounds[c], bounds[c + 1]
+            if run:
+                assert phi.flat[c] > 0
+                assert all(a.stop == b.start for a, b in zip(run, run[1:]))
+                assert all(0 < b.stop - b.start <= PAIR_BLOCK for b in run)
+                assert lo <= run[0].start and run[-1].stop <= hi
+            start, stop = (run[0].start, run[-1].stop) if run else (lo, lo)
+            dead = np.concatenate([x[lo:start], x[stop:hi]])
+            with np.errstate(over="ignore"):
+                values = weibull_kernel(dead, phi.flat[c], gamma.flat[c], kappa.flat[c])
+            assert np.all(values == 0.0), (c, phi.flat[c], gamma.flat[c], kappa.flat[c])
+            skipped += dead.size
+            kept += stop - start
+    assert skipped > 0 and kept > 0
+    # the far user's pairs from t = 0 sit in cell 0, where kappa log(dt)
+    # reaches the kernel's power cap: that cell is kept whole
+    shape = (structure.n_categories, n_actions)
+    ones = np.ones(shape)
+    blocks = panel.live_blocks(ones, ones, np.full(shape, KAPPA_MAX))
+    run = [b for c, b in blocks if c == 0]
+    assert KAPPA_MAX * x[bounds[1] - 1] >= 709.0
+    assert (run[0].start, run[-1].stop) == (bounds[0], bounds[1])
+    # past KAPPA_MAX a cell's smallest gaps can be dead where g still
+    # rises; such a cell is kept whole too
+    blocks = panel.live_blocks(ones, ones, np.full(shape, 100.0))
+    rising = [c for c in range(n_cells) if bounds[c] < bounds[c + 1]
+              and weibull_kernel(x[bounds[c]], 1.0, 1.0, 100.0) == 0.0]
+    assert rising
+    for c in rising:
+        run = [b for cc, b in blocks if cc == c]
+        assert (run[0].start, run[-1].stop) == (bounds[c], bounds[c + 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_responsibilities_match_all_pairs_oracle(seed):
+    """The E step's r against the oracle's r_raw / lam pair by pair, with
+    exact zeros outside the live ranges; with phi = 0 everywhere there is no
+    live range and lam still matches."""
+    rng = np.random.default_rng(seed)
+    n_actions = 3
+    hs = histories(rng, n_actions)
+    p = random_params(rng, n_actions=n_actions, horizon=HORIZON,
+                      users=tuple(h.user for h in hs), kappa_range=(0.3, 6.0))
+    panel = build_panel(hs, p.structure, HORIZON)
+    oracle = pair_panel(hs, p.structure, HORIZON)
+    # each panel pair's index in the oracle's order
+    n = panel.n_events
+    key = oracle.lp_src * n + oracle.lp_dst
+    by_key = np.argsort(key)
+    at = by_key[np.searchsorted(key[by_key], panel.lp_src * n + panel.lp_dst)]
+    assert np.array_equal(oracle.lp_dst[at], panel.lp_dst)
+    for q in (p, replace(p, phi=np.zeros_like(p.phi))):
+        _, _, _, r_raw, lam_pairs = pair_event_contributions(q, oracle)
+        resp, lam = _e_step_panel(q, panel)
+        close(lam, lam_pairs)
+        want = r_raw[at] / lam_pairs[panel.lp_dst]
+        close(resp.r, want)
+        outside = np.ones(panel.lp_dst.size, dtype=bool)
+        for _, block in resp.live:
+            outside[block] = False
+        assert np.all(resp.r[outside] == 0.0) and np.all(want[outside] == 0.0)
+        np.testing.assert_allclose(resp.event_totals(), 1.0, atol=1e-12)
+        if q is p:
+            assert outside.any() and not outside.all()
+    assert resp.live == () and not resp.r.any()
+
+
+def test_decay_sums_reads_the_index_in_place():
+    """decay_sums scatters over the read-only ``cp_slot`` without copying it:
+    it peaks no higher on the panel than on a writeable copy of the panel.
+    ``np.bincount`` would first copy a read-only index, an int64 allocation
+    the size of ``cp_slot``."""
+    rng = np.random.default_rng(5)
+    n, n_actions = 2000, 5
+    h = UserHistory.from_arrays(
+        "u1", np.sort(rng.uniform(0.0, 2000.0, n)), rng.integers(0, n_actions, n)
+    )
+    p = random_params(rng, n_actions=n_actions, horizon=2000.0)
+    panel = build_panel([h], p.structure, 2000.0)
+    writeable = replace(panel, **{
+        f: getattr(panel, f).copy() for f in panel.__dataclass_fields__
+        if isinstance(getattr(panel, f), np.ndarray)
+    })
+    assert not panel.cp_slot.flags.writeable and writeable.cp_slot.flags.writeable
+    peaks = []
+    for q in (panel, writeable):
+        tracemalloc.start()
+        try:
+            decay_sums(q, p.omega)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] + panel.cp_slot.nbytes / 2
 
 
 def test_chunks_never_split_ties():
