@@ -7,21 +7,22 @@ every gap across chunks is at least ``TIE_EPSILON`` and ``clamp_gaps`` only
 acts on the pairs inside a chunk.  Those pairs are stored (``cp_*``, about
 ``CHUNK_EVENTS / 2`` per event); the earlier chunks reach an event through two
 decayed (A, A) states carried from chunk start to chunk start (Ozaki's
-recursion), see :func:`decay_sums`.  The Weibull kernel has no such recursion
-for a general shape, so its same-action pairs are stored (``lp_*``, a log gap
-and a later event each), ordered by Weibull cell, then by log gap.  Memory is
-O(N * CHUNK_EVENTS + same-action pairs).
+recursion), see :func:`decay_sums`.
 
-Inside a cell the kernel is exactly zero beyond one log gap that moves with
-the cell's shape, so each cell has a live range, a run of its sorted pairs
-(:meth:`EventPanel.live_blocks`), and the E step and the M-step sums visit
-O(pairs with a nonzero term), not every stored pair.
+The Weibull kernel has no such recursion for a general shape, and no
+same-action pair is stored.  The panel keeps each (user, action) run of
+events in time order (``sa_*``, O(N)); at given parameters the kernel of a
+Weibull cell is exactly zero beyond one log gap, its reach, so
+:meth:`EventPanel.live_pairs` takes each earlier event's later run events
+within its cell's reach, and the E step and the M-step sums visit those
+pairs only.  Memory is O(N * CHUNK_EVENTS + live same-action pairs), and
+nothing is sorted past the O(N) build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,36 +34,57 @@ from .model import (
 
 # Target number of events per chunk; a run of ties can make a chunk longer.
 CHUNK_EVENTS = 32
-# Same-action pairs are evaluated at most this many at a time (see
-# ``EventPanel.live_blocks``), which bounds the temporaries of the Weibull
-# kernel and of its M-step sums.
-PAIR_BLOCK = 1 << 14
 # A Weibull pair whose kernel exponent (kappa - 1) x - gamma e^(kappa x), at
 # its log gap x, lies below this is exactly zero: exp underflows to 0 below
 # about -745.1, and the margin dwarfs any rounding in the exponent.
 LIVE_EXPONENT = -800.0
+# Fixed-point steps of a cell's reach, and the log gap added to their result
+# so that it lands past the root; see ``_reach``.
+REACH_STEPS = 4
+REACH_MARGIN = 1e-6
+
+
+class WeibullPairs(NamedTuple):
+    """Same-action pairs ordered by Weibull cell: the pairs of cell c are
+    ``bounds[c]:bounds[c + 1]``, with the later event ``dst`` and the log of
+    the clamped gap ``log_dt`` of each."""
+
+    bounds: np.ndarray
+    dst: np.ndarray
+    log_dt: np.ndarray
+
+    def cells(self) -> list[tuple[int, slice]]:
+        """``(cell, slice)`` of every cell with a pair."""
+        b = self.bounds.tolist()
+        return [(c, slice(lo, hi)) for c, (lo, hi) in enumerate(zip(b[:-1], b[1:])) if lo < hi]
+
+    def cell_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sums of a per-pair field over each cell; shape (C * A,)."""
+        b = self.bounds.tolist()
+        return np.array([values[lo:hi].sum() for lo, hi in zip(b[:-1], b[1:])])
 
 
 @dataclass(frozen=True)
 class EventPanel:
     """Per-event arrays, the chunks of the exponential kernel and the
-    same-action pairs of the Weibull kernel.
+    same-action runs of the Weibull kernel.
 
     Cells are flat row-major indices into parameter arrays: ``cp_cell`` into
-    the (A, A) exponential ones (``params.omega.ravel()[panel.cp_cell]``).
-    The same-action pairs are ordered by their Weibull cell ``c_src * A + a``
-    (c_src the earlier event's category), a flat index into the (C, A)
-    Weibull arrays, then by log gap: the pairs of cell c are
-    ``lp_bounds[c]:lp_bounds[c + 1]``, and equal log gaps come in an order
-    that the data fixes, so a rebuild gives the same panel.  :meth:`live_blocks`
-    finds the slice of each cell where the kernel can be nonzero.  The
-    earlier event of each pair, ``sp_src`` for every pair and ``lp_src`` for
-    the same-action ones, is built on demand: no EM code reads it, and the
-    benchmark tracer counts the pairs by its size.
+    the (A, A) exponential ones (``params.omega.ravel()[panel.cp_cell]``),
+    and a Weibull cell ``c_src * A + a`` (c_src the earlier event's category)
+    into the (C, A) Weibull ones.  ``sa_ev`` lists the events by (user,
+    action, time), so each (user, action) group is a run of it, and
+    ``sa_end[p]`` is the end of the run holding position p.  ``sa_src`` are
+    the positions with a later event in their run, ordered by Weibull cell:
+    those of cell c are ``sa_src[sa_bounds[c]:sa_bounds[c + 1]]``.
+    :meth:`live_pairs` builds from them the pairs where the kernel can be
+    nonzero.  The earlier event of each pair, ``sp_src`` for every pair and
+    ``lp_src`` for every same-action one, is built on demand: no EM code
+    reads it, and the benchmark tracer counts the pairs by its size.
 
-    Every array is read-only.  Sums over a pair index (``cp_slot``,
-    ``lp_dst``) scatter with ``np.add.at``, which reads a read-only index in
-    place; ``np.bincount`` would first copy it."""
+    Every array is read-only.  Sums over ``cp_slot`` scatter with
+    ``np.add.at``, which reads a read-only index in place; ``np.bincount``
+    would first copy it."""
 
     structure: ModelStructure
     T: float
@@ -90,11 +112,11 @@ class EventPanel:
     cp_cell: np.ndarray  # a_src * A + a_dst
     cp_slot: np.ndarray  # dst * A + a_src, a flat index into an (N, A) field
 
-    # every (earlier, later) same-action pair within a user, length L,
-    # ordered by Weibull cell, then by log gap
-    lp_dst: np.ndarray
-    lp_log_dt: np.ndarray  # log of the clamped gap
-    lp_bounds: np.ndarray  # (C * A + 1,) start of each cell's pairs
+    # the same-action runs, length N at most
+    sa_ev: np.ndarray  # event at each position, by (user, action, time)
+    sa_end: np.ndarray  # end of each position's run
+    sa_src: np.ndarray  # positions with a later event in their run, by cell
+    sa_bounds: np.ndarray  # (C * A + 1,) start of each Weibull cell's sa_src
 
     @property
     def n_events(self) -> int:
@@ -117,48 +139,51 @@ class EventPanel:
 
     @property
     def lp_src(self) -> np.ndarray:
-        """Earlier event of every same-action pair, aligned with ``lp_dst``;
-        built on each call."""
-        return _same_action_pairs(
-            self.ev_user, self.ev_t, self.ev_a, self.ev_cat, self.structure
-        )[0]
+        """Earlier event of every same-action pair within a user, by Weibull
+        cell; built on each call, O(same-action pairs) memory."""
+        src = self.sa_src
+        return self.sa_ev[np.repeat(src, self.sa_end[src] - src - 1)]
 
-    def live_blocks(
+    def live_pairs(
         self, phi: np.ndarray, gamma: np.ndarray, kappa: np.ndarray
-    ) -> tuple[tuple[int, slice], ...]:
-        """``(cell, slice)`` over the same-action pairs whose Weibull term can
-        be nonzero at these (C, A) parameters, in cell order, at most
-        ``PAIR_BLOCK`` pairs a slice; every other pair's kernel is exactly 0.
+    ) -> WeibullPairs:
+        """The same-action pairs whose Weibull term can be nonzero at these
+        (C, A) parameters; every other pair's kernel is exactly 0.
 
-        The kernel is ``phi gamma kappa exp(g(x))`` at the log gap x, with
-        ``g(x) = (kappa - 1) x - gamma e^(kappa x)`` concave.  Where g rises,
-        ``gamma e^(kappa x) < 1``, so ``g > (kappa - 1) x_min - 1`` there (x_min
-        the cell's smallest gap).  While that bound exceeds
-        ``LIVE_EXPONENT + 1``, which holds for any kappa <= KAPPA_MAX on gaps
-        of at least TIE_EPSILON, the pairs with ``g < LIVE_EXPONENT`` are a
-        suffix of the cell, found by one bisection over all cells.  A cell
-        with ``phi gamma kappa == 0`` has no live pair; one whose weight is
-        not finite, whose gaps reach ``kappa x >= POWER_LOG_CAP`` (where the
-        kernel caps the power) or whose bound fails is kept whole."""
-        lo, hi = self.lp_bounds[:-1], self.lp_bounds[1:]
+        Each earlier event pairs with the later events of its run whose gap
+        is within ``exp(reach)`` of it, the reach of its cell from
+        :func:`_reach`, found by one binary search over all earlier events
+        that compares gaps only.  A cell with ``phi gamma kappa == 0`` has no
+        pair; one whose weight is not finite, or whose kappa takes
+        ``kappa log(gap)`` to ``POWER_LOG_CAP`` (where the kernel caps the
+        power) on the panel's longest same-action gap, keeps all of them."""
         phi, gamma, kappa = (np.ravel(w) for w in (phi, gamma, kappa))
+        t = self.ev_t[self.sa_ev]
+        src, end = self.sa_src, self.sa_end[self.sa_src]
+        t_src = t[src]
+        longest = np.log(max((t[end - 1] - t_src).max(initial=0.0), TIE_EPSILON))
         weight = phi * gamma * kappa
-        end = np.where((weight != 0) & (hi > lo), hi, lo)
-        cells = np.flatnonzero(end > lo)
-        x, k = self.lp_log_dt, kappa[cells]
-        # where g rises, g > (kappa - 1) x_min - 1 > LIVE_EXPONENT + 1
-        cut = (
-            np.isfinite(weight[cells])
-            & (k * x[hi[cells] - 1] < POWER_LOG_CAP)
-            & ((k <= 1.0) | ((k - 1.0) * x[lo[cells]] > LIVE_EXPONENT + 2.0))
-        )
-        cells = cells[cut]
-        end[cells] = _live_end(x, lo[cells], hi[cells], gamma[cells], kappa[cells])
-        return tuple(
-            (c, slice(b, min(b + PAIR_BLOCK, e)))
-            for c, (s, e) in enumerate(zip(lo.tolist(), end.tolist()))
-            for b in range(s, e, PAIR_BLOCK)
-        )
+        with np.errstate(over="ignore"):
+            limit = np.exp(_reach(gamma, kappa))
+        limit[~np.isfinite(weight) | (kappa * longest >= POWER_LOG_CAP)] = np.inf
+        limit[weight == 0] = -1.0  # below every gap
+        limit = np.repeat(limit, np.diff(self.sa_bounds))
+        # binary search for each source's last run position within its limit
+        pos = src.copy()
+        step = 1 << (int((end - src).max(initial=1)) - 1).bit_length()
+        while step := step >> 1:
+            probe = pos + step
+            ok = probe < end
+            ok &= t[np.minimum(probe, t.size - 1)] - t_src <= limit
+            pos = np.where(ok, probe, pos)
+        counts = pos - src
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        dst = np.repeat(src + 1 - offsets[:-1], counts)
+        dst += np.arange(offsets[-1])
+        log_dt = t[dst]
+        log_dt -= np.repeat(t_src, counts)
+        np.log(np.maximum(log_dt, TIE_EPSILON, out=log_dt), out=log_dt)
+        return WeibullPairs(offsets[self.sa_bounds], self.sa_ev[dst], log_dt)
 
     def source_cell_sums(self, field: np.ndarray) -> np.ndarray:
         """Sums of an (N, A) field, indexed (event n, source action a'), over
@@ -213,62 +238,26 @@ def _pairs_within(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
-def _same_action_pairs(
-    ev_user: np.ndarray,
-    ev_t: np.ndarray,
-    ev_a: np.ndarray,
-    ev_cat: np.ndarray,
-    structure: ModelStructure,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(earlier, later) event indices and log gaps of every same-action pair
-    within a user, and the start of each Weibull cell's pairs
-    (``lp_bounds``).
+def _reach(gamma: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Per Weibull cell, a log gap past which the kernel is exactly 0, or
+    inf where none is found.
 
-    The pairs are built per (user, action) group, then sorted by cell with a
-    stable sort of a small integer key (a radix sort), then inside each cell
-    by log gap."""
-    A = structure.n_actions
-    n_cells = structure.n_categories * A
-    order = np.argsort(ev_user * A + ev_a, kind="stable")
-    key = ev_user[order] * A + ev_a[order]
-    src, dst = _pairs_within(_run_starts(np.diff(key, prepend=-1) != 0))
-    src = order[src]
-    dst = order[dst]
-    cell_type = np.min_scalar_type(n_cells)
-    cell = (ev_cat * A + ev_a).astype(cell_type)[src]
-    order = np.argsort(cell, kind="stable")  # 8 bytes per pair, the one transient
-    bounds = np.searchsorted(cell[order], np.arange(n_cells + 1, dtype=cell_type))
-    del cell
-    # one reordered copy alive at a time
-    src = src[order]
-    dst = dst[order]
-    del order
-    log_dt = ev_t[dst]
-    log_dt -= ev_t[src]
-    np.log(np.maximum(log_dt, TIE_EPSILON, out=log_dt), out=log_dt)
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        by_gap = np.argsort(log_dt[lo:hi])
-        for arr in (src, dst, log_dt):
-            arr[lo:hi] = arr[lo:hi][by_gap]
-    return src, dst, log_dt, bounds
-
-
-def _live_end(
-    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, gamma: np.ndarray, kappa: np.ndarray
-) -> np.ndarray:
-    """For each sorted cell slice ``x[lo:hi]`` whose pairs with
-    ``g(x) = (kappa - 1) x - gamma e^(kappa x) < LIVE_EXPONENT`` form a
-    suffix, the start of that suffix (``hi`` if empty), by one bisection
-    over all cells at once."""
-    last = x.size - 1
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) >> 1
-        xm = x[np.minimum(mid, last)]
-        with np.errstate(over="ignore"):
-            dead = (kappa - 1.0) * xm - gamma * np.exp(kappa * xm) < LIVE_EXPONENT
-        hi = np.where(open_ & dead, mid, hi)
-        lo = np.where(open_ & ~dead, mid + 1, lo)
-    return lo
+    The kernel is ``phi gamma kappa exp(g(x))`` at the log gap x, with
+    ``g(x) = (kappa - 1) x - gamma e^(kappa x)`` concave.  A few fixed-point
+    steps ``x <- (log(-LIVE_EXPONENT + (kappa - 1) x) - log gamma) / kappa``
+    approach the root of ``g = LIVE_EXPONENT`` on its falling side, and
+    ``REACH_MARGIN`` takes the result past it.  The result is kept only
+    where ``g(x) < LIVE_EXPONENT`` and ``g'(x) < 0``: by concavity every
+    longer gap is then dead too."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_gamma = np.log(gamma)
+        x = (np.log(-LIVE_EXPONENT) - log_gamma) / kappa
+        for _ in range(REACH_STEPS):
+            x = (np.log(-LIVE_EXPONENT + (kappa - 1.0) * x) - log_gamma) / kappa
+        x += REACH_MARGIN
+        power = gamma * np.exp(kappa * x)
+        dead = ((kappa - 1.0) * x - power < LIVE_EXPONENT) & (kappa - 1.0 - kappa * power < 0)
+    return np.where(dead, x, np.inf)
 
 
 def build_panel(
@@ -318,7 +307,17 @@ def build_panel(
     cp_slot = dst * A + ev_a[src]
     del src, dst
 
-    _, lp_dst, lp_log_dt, lp_bounds = _same_action_pairs(ev_user, ev_t, ev_a, ev_cat, structure)
+    # same-action runs; the events of a user are in time order already
+    key = ev_user * A + ev_a
+    sa_ev = np.argsort(key, kind="stable")
+    key = key[sa_ev]
+    new_run = np.diff(key, prepend=-1) != 0
+    sa_end = np.append(np.flatnonzero(new_run)[1:], n)[np.cumsum(new_run) - 1]
+    sa_src = np.flatnonzero(np.arange(1, n + 1) < sa_end)
+    cell = (ev_cat * A + ev_a)[sa_ev[sa_src]]
+    by_cell = np.argsort(cell, kind="stable")
+    sa_src = sa_src[by_cell]
+    sa_bounds = np.searchsorted(cell[by_cell], np.arange(structure.n_categories * A + 1))
 
     arrays = dict(
         ev_user=ev_user,
@@ -335,9 +334,10 @@ def build_panel(
         cp_dt=cp_dt,
         cp_cell=cp_cell,
         cp_slot=cp_slot,
-        lp_dst=lp_dst,
-        lp_log_dt=lp_log_dt,
-        lp_bounds=lp_bounds,
+        sa_ev=sa_ev,
+        sa_end=sa_end,
+        sa_src=sa_src,
+        sa_bounds=sa_bounds,
     )
     for arr in arrays.values():
         arr.flags.writeable = False

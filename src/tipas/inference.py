@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from ._panel import EventPanel, build_panel
+from ._panel import EventPanel, WeibullPairs, build_panel
 from .errors import (
     DegenerateEventError,
     InvalidInputError,
@@ -120,11 +120,9 @@ class Responsibilities:
     ``pz[n, z]`` from background mixture ``z``, ``q[n, a']`` from the
     short-term excitation of its user's earlier events of action ``a'``, and
     ``r[i]`` from the Weibull recurrence of same-action pair ``i`` of
-    ``panel`` (``lp_*``, ordered by Weibull cell, then by log gap).  ``r``
-    is exactly 0 outside ``live``, the panel's
-    :meth:`~EventPanel.live_blocks` at the E step's parameters, so every
-    sum over the pairs visits ``live`` only.  For every event the pieces sum
-    to one.
+    ``pairs``, the panel's :meth:`~EventPanel.live_pairs` at the E step's
+    parameters; every other same-action pair has an r of exactly 0.  For
+    every event the pieces sum to one.
     ``q_dt[n, a']`` is ``q[n, a']`` with each earlier event's share weighted
     by its gap to event ``n``.
     """
@@ -134,24 +132,14 @@ class Responsibilities:
     q: np.ndarray
     q_dt: np.ndarray
     r: np.ndarray
-    live: tuple[tuple[int, slice], ...]
+    pairs: WeibullPairs
     panel: EventPanel = field(repr=False)
-
-    def cell_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sums over each Weibull cell of a per-pair field, aligned with
-        ``panel.lp_dst``, that is 0 wherever ``r`` is (``r`` times anything
-        finite); shape (C * A,)."""
-        out = np.zeros(self.panel.lp_bounds.size - 1)
-        for c, block in self.live:
-            out[c] += values[block].sum()
-        return out
 
     def event_totals(self) -> np.ndarray:
         """Sum of all attributions per event; should be 1 everywhere."""
         tot = self.p0 + self.pz.sum(axis=1)
         tot += self.q.sum(axis=1)
-        for _, block in self.live:
-            np.add.at(tot, self.panel.lp_dst[block], self.r[block])
+        tot += np.bincount(self.pairs.dst, weights=self.r, minlength=tot.size)
         return tot
 
 
@@ -170,22 +158,21 @@ def e_step(params: ModelParams, histories: Sequence[UserHistory]) -> Responsibil
 def _e_step_panel(
     params: ModelParams, panel: EventPanel
 ) -> tuple[Responsibilities, np.ndarray]:
-    a0, bg, q_raw, q_dt_raw, r_raw, live, lam = event_contributions(params, panel)
+    a0, bg, q_raw, q_dt_raw, r_raw, pairs, lam = event_contributions(params, panel)
     if panel.n_events and lam.min() <= 0.0:
         bad = int(np.argmin(lam))
         raise DegenerateEventError(
             f"event {panel.event_label(bad)} receives zero intensity from "
             "every model component"
         )
-    for _, block in live:
-        r_raw[block] /= lam[panel.lp_dst[block]]
+    r_raw /= lam[pairs.dst]
     resp = Responsibilities(
         p0=a0 / lam if panel.n_events else a0,
         pz=bg / lam[:, None] if panel.n_events else bg,
         q=q_raw / lam[:, None],
         q_dt=q_dt_raw / lam[:, None],
         r=r_raw,
-        live=live,
+        pairs=pairs,
         panel=panel,
     )
     return resp, lam
@@ -234,7 +221,7 @@ def m_step_closed(
     if np.any((q_den <= 0) & (q_num > 0)):
         logger.warning("theta update saw responsibility mass with empty denominator")
 
-    r_num = resp.cell_sums(resp.r).reshape(C, A)
+    r_num = resp.pairs.cell_sums(resp.r).reshape(C, A)
     phi = _ratio(r_num, r_den)
 
     return (
@@ -371,19 +358,19 @@ def weibull_objective(resp: Responsibilities, params: ModelParams):
     ``sum r * (log kappa + kappa (log dt - u) - (dt / e^u)^kappa) - sum r * log R``.
     Returns ``(objective, x0, active)`` as :func:`exponential_objective`,
     with ``phi`` as the weight.  The pair sums run one active cell at a time
-    over its live blocks (``resp.live``), with the cell's ``u`` and
-    ``kappa`` as scalars: a pair outside them has ``r`` exactly 0 and adds
-    exactly 0 at every ``x``.  No caller reads the values of the other
-    cells.
+    over its pairs in ``resp.pairs``, with the cell's ``u`` and ``kappa`` as
+    scalars: a same-action pair left out of them has ``r`` exactly 0 and
+    would add exactly 0 at every ``x``.  No caller reads the values of the
+    other cells.
     """
     panel = resp.panel
     s = params.structure
     A = s.n_actions
     n = s.n_categories * A
-    r, log_dt = resp.r, panel.lp_log_dt
-    sr = resp.cell_sums(r)
+    r, log_dt = resp.r, resp.pairs.log_dt
+    sr = resp.pairs.cell_sums(r)
     active = (sr > 0) & (params.phi.reshape(-1) > PARAM_FLOOR)
-    blocks = [(c, log_dt[b], r[b]) for c, b in resp.live if active[c]]
+    blocks = [(c, log_dt[cell], r[cell]) for c, cell in resp.pairs.cells() if active[c]]
     sr_log = np.zeros(n)
     for c, log_dt_c, r_c in blocks:
         sr_log[c] += (r_c * log_dt_c).sum()
@@ -683,6 +670,7 @@ def fit(
             break
         prev_total = ll.total
         params, nf = _m_step(resp, params, cfg)
+        del resp  # its pairs go before the next E step builds its own
         fallbacks += nf
         iterations += 1
 
@@ -745,6 +733,11 @@ def select_n_mixtures(
     t_split = max(
         DAY_HOURS, math.floor(horizon * (1.0 - val_fraction) / DAY_HOURS) * DAY_HOURS
     )
+    if t_split >= horizon:
+        raise InvalidInputError(
+            f"mixture selection needs data past one day: the validation slice "
+            f"({t_split:g}, {horizon:g}] h is empty"
+        )
     train = [h.until(t_split) for h in histories]
     if sum(len(h) for h in train) == 0:
         raise InvalidInputError("validation split leaves no training events")

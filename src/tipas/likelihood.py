@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._panel import EventPanel, build_panel, check_histories, decay_sums
+from ._panel import EventPanel, WeibullPairs, build_panel, check_histories, decay_sums
 from .errors import NumericalFailureError
 from .model import (
     ModelParams,
@@ -69,22 +69,20 @@ def _alpha_matrix(params: ModelParams, users: Sequence[str]) -> np.ndarray:
 def event_contributions(
     params: ModelParams, panel: EventPanel
 ) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-    tuple[tuple[int, slice], ...], np.ndarray,
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, WeibullPairs, np.ndarray,
 ]:
     """Additive intensity pieces at every observed event.
 
-    Returns ``(a0, bg, q_raw, q_dt_raw, r_raw, live, lam)`` where ``a0``
+    Returns ``(a0, bg, q_raw, q_dt_raw, r_raw, pairs, lam)`` where ``a0``
     (N,) is the preference term, ``bg`` (N, Z) the per-mixture background,
     ``q_raw`` (N, A) the short-term term per (event, source action),
     ``q_dt_raw`` (N, A) the same with each pair's term weighted by its gap,
-    ``r_raw`` (L,) the Weibull values of the same-action pairs in the
-    panel's order, ``live`` the panel's :meth:`~EventPanel.live_blocks` at
-    ``params``, and ``lam`` (N,) the sum of ``a0``, ``bg``, ``q_raw`` and
-    ``r_raw`` per event, i.e. the intensity at (t_n, a_n).  The Weibull
-    kernel runs only over ``live``, one block at a time on the stored log
-    gaps with the cell's parameters as scalars; ``r_raw`` is exactly 0
-    elsewhere, as the kernel itself would be.
+    ``pairs`` the panel's :meth:`~EventPanel.live_pairs` at ``params``,
+    ``r_raw`` the Weibull value of each of them, and ``lam`` (N,) the sum of
+    ``a0``, ``bg``, ``q_raw`` and ``r_raw`` per event, i.e. the intensity at
+    (t_n, a_n).  The Weibull kernel runs one cell at a time with the cell's
+    parameters as scalars; every same-action pair left out of ``pairs`` has
+    a kernel of exactly 0.
     """
     n = panel.n_events
     alpha_panel = _alpha_matrix(params, panel.users)
@@ -96,18 +94,15 @@ def event_contributions(
     theta_omega = (params.theta * params.omega)[:, panel.ev_a].T  # (N, A)
     q_raw = theta_omega * K
     q_dt_raw = theta_omega * G
-    r_raw = np.zeros(panel.lp_dst.size)
-    r_event = np.zeros(n)
-    live = panel.live_blocks(params.phi, params.gamma, params.kappa)
+    pairs = panel.live_pairs(params.phi, params.gamma, params.kappa)
+    r_raw = np.empty(pairs.dst.size)
     phi, gamma, kappa = (w.ravel().tolist() for w in (params.phi, params.gamma, params.kappa))
-    for c, block in live:
-        r = weibull_kernel(panel.lp_log_dt[block], phi[c], gamma[c], kappa[c])
-        r_raw[block] = r
-        np.add.at(r_event, panel.lp_dst[block], r)
+    for c, cell in pairs.cells():
+        r_raw[cell] = weibull_kernel(pairs.log_dt[cell], phi[c], gamma[c], kappa[c])
     lam = a0 + bg.sum(axis=1)
     lam += q_raw.sum(axis=1)
-    lam += r_event
-    return a0, bg, q_raw, q_dt_raw, r_raw, live, lam
+    lam += np.bincount(pairs.dst, weights=r_raw, minlength=n)
+    return a0, bg, q_raw, q_dt_raw, r_raw, pairs, lam
 
 
 def tail_masses(

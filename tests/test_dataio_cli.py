@@ -275,6 +275,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "usage" in err and "Traceback" not in err
 
+    def test_auto_mixtures_on_one_day_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        save_histories([UserHistory("u", (EventRecord(0, 1.0), EventRecord(0, 23.5)))],
+                       ("a",), data)
+        out = tmp_path / "model.json"
+        code = main(["fit", "--data", str(data), "--mixtures", "auto", "--max-iters", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "validation slice" in capsys.readouterr().err
+
     def test_fit_accepts_auto_mixtures(self):
         args = _build_parser().parse_args(["fit", "--data", "d", "--out", "m", "--mixtures", "auto"])
         assert args.mixtures == "auto"

@@ -214,7 +214,7 @@ class TestMStepRate:
         resp = e_step(p, hs)
         # flat cells: (a', a) = (0, 1) is 1, (c, a) = (1, 0) is 2
         assert resp.panel.source_cell_sums(resp.q)[1] > 0
-        assert resp.cell_sums(resp.r)[2] > 0
+        assert resp.pairs.cell_sums(resp.r)[2] > 0
         assert not exponential_objective(resp, p)[2][1]
         assert not weibull_objective(resp, p)[2][2]
         omega, gamma, kappa, _ = m_step_rate(resp, p, 100.0)
@@ -488,6 +488,16 @@ class TestMixtureSelection:
         cfg = FitConfig(rng_seed=0, max_iterations=40, horizon=480.0)
         z = select_n_mixtures(hs, cfg, grid=(1, 2))
         assert z in (1, 2)
+
+    def test_data_within_one_day_is_rejected(self):
+        # the validation slice (24, 24] would hold no event, and every
+        # candidate would score 0
+        hs = [
+            UserHistory.from_arrays(u, [0.5 + k, 6.0 + k, 23.5], [0, 0, 0])
+            for k, u in enumerate(("a", "b", "c"))
+        ]
+        with pytest.raises(InvalidInputError, match="validation slice"):
+            select_n_mixtures(hs, FitConfig(max_iterations=5), grid=(1, 2, 3))
 
     def test_holdout_matches_event_loop(self):
         rng = np.random.default_rng(31)

@@ -1,5 +1,5 @@
 """The chunked exponential-kernel sums and the per-cell Weibull sums against
-the all-pairs oracle, and the exactness of the Weibull live ranges."""
+the all-pairs oracle, and the exactness of the live Weibull pairs."""
 
 import tracemalloc
 from dataclasses import replace
@@ -9,13 +9,13 @@ import pytest
 from scipy.special import xlogy
 
 from tipas import UserHistory
-from tipas._panel import CHUNK_EVENTS, PAIR_BLOCK, build_panel, decay_sums
+from tipas._panel import CHUNK_EVENTS, build_panel, decay_sums
 from tipas.inference import (
     EXP_LIMIT, KAPPA_MAX, PARAM_FLOOR, _e_step_panel, exponential_objective, m_step_closed,
     weibull_objective,
 )
 from tipas.likelihood import tail_masses
-from tipas.model import TIE_EPSILON, weibull_kernel
+from tipas.model import POWER_LOG_CAP, TIE_EPSILON, weibull_kernel
 
 from conftest import random_params
 from oracles import pair_event_contributions, pair_panel, pair_weibull_objective
@@ -48,6 +48,31 @@ def histories(rng, n_actions):
 
 def close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+
+def pair_ids(pairs, oracle):
+    """Ids of the (Weibull cell, later event, log gap) of each live pair and
+    of each of the oracle's same-action pairs.  Pairs with one id have one
+    Weibull term; pairs from tied earlier events share an id."""
+    cell = np.repeat(np.arange(pairs.bounds.size - 1), np.diff(pairs.bounds))
+    got = np.column_stack([cell, pairs.dst, pairs.log_dt])
+    want = np.column_stack([oracle.lp_cell, oracle.lp_dst, np.log(oracle.lp_dt)])
+    rows = np.vstack([got, want])
+    order = np.lexsort(rows.T[::-1])
+    new = np.diff(rows[order], axis=0).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.concatenate(([0], np.cumsum(new)))[: len(rows)]
+    return ids[: len(got)], ids[len(got):], int(ids.max(initial=-1)) + 1
+
+
+def left_out(pairs, oracle):
+    """The ids of :func:`pair_ids` and a mask of the ids of which the oracle
+    holds more pairs than ``pairs``; fails unless every live pair is one of
+    the oracle's, counted with multiplicity."""
+    got, want, n_ids = pair_ids(pairs, oracle)
+    n_got, n_want = np.bincount(got, minlength=n_ids), np.bincount(want, minlength=n_ids)
+    assert np.all(n_got <= n_want)
+    return got, want, n_want > n_got
 
 
 @pytest.mark.parametrize("omega_range", [(1e-6, 1e-6), (1e3, 1e3), (1e-6, 1e3), (0.05, 5.0)])
@@ -85,9 +110,8 @@ def test_sums_match_all_pairs_oracle(seed, omega_range):
     close(objective(x0), sq * v - np.exp(v) * sq_dt - xlogy(sq, q_den.reshape(-1)))
     assert np.array_equal(active, sq > 0)
 
-    # the Weibull pairs are the oracle's same-action pairs
-    got = sorted(zip(panel.lp_src.tolist(), panel.lp_dst.tolist()))
-    assert got == sorted(zip(oracle.lp_src.tolist(), oracle.lp_dst.tolist()))
+    # the earlier events of the same-action pairs are the oracle's
+    assert np.array_equal(np.sort(panel.lp_src), np.sort(oracle.lp_src))
     assert np.array_equal(panel.sp_src, oracle.sp_src)
 
 
@@ -107,20 +131,19 @@ def test_weibull_cell_sums_match_all_pairs_oracle(seed):
     _, _, _, r_raw, lam_pairs = pair_event_contributions(p, oracle)
     resp, _ = _e_step_panel(p, panel)
 
-    # each cell's slice holds exactly that cell's pairs
+    # each cell's slice holds pairs of that cell, with their log gaps
     A = n_actions
     n_cells = p.structure.n_categories * A
-    cell = panel.ev_cat[panel.lp_src] * A + panel.ev_a[panel.lp_dst]
-    assert np.array_equal(cell, np.repeat(np.arange(n_cells), np.diff(panel.lp_bounds)))
-    assert panel.lp_bounds[0] == 0 and panel.lp_bounds[-1] == panel.lp_dst.size
-    close(panel.lp_log_dt, np.log(np.maximum(panel.ev_t[panel.lp_dst]
-                                             - panel.ev_t[panel.lp_src], TIE_EPSILON)))
+    pairs = resp.pairs
+    assert pairs.bounds.size == n_cells + 1
+    assert pairs.bounds[0] == 0 and pairs.bounds[-1] == pairs.dst.size
+    left_out(pairs, oracle)
 
     r = r_raw / lam_pairs[oracle.lp_dst]
     sr = np.bincount(oracle.lp_cell, weights=r, minlength=n_cells)
     sr_log = np.bincount(oracle.lp_cell, weights=r * np.log(oracle.lp_dt), minlength=n_cells)
-    close(resp.cell_sums(resp.r), sr)
-    close(resp.cell_sums(resp.r * panel.lp_log_dt), sr_log)
+    close(resp.pairs.cell_sums(resp.r), sr)
+    close(resp.pairs.cell_sums(resp.r * pairs.log_dt), sr_log)
 
     _, r_den = tail_masses(p, oracle.ev_tail, oracle.ev_a, oracle.ev_cat)
     phi = m_step_closed(resp, p, HORIZON)[3]
@@ -155,67 +178,50 @@ def extreme_weibull(rng, shape):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_live_ranges_are_exact(seed):
-    """Every pair outside its cell's live range has a Weibull term of exactly
-    0.0, and each range is one contiguous run of the cell's pairs, over 80
-    extreme parameter sets per seed.  A user whose gaps reach 1e9 hours takes
-    kappa log(dt) past the kernel's power cap.  The pairs of a cell are sorted
-    by log gap."""
+    """Every same-action pair that ``live_pairs`` leaves out has a Weibull
+    term of exactly 0.0, and every pair it gives is one of the oracle's, over
+    80 extreme parameter sets per seed, on histories with ties, gaps below
+    TIE_EPSILON and a dozen (user, action) groups.  A user whose gaps reach 1e9
+    hours takes kappa log(dt) past the kernel's power cap.  A cell with
+    phi gamma kappa = 0 has no pair."""
     rng = np.random.default_rng(seed)
     n_actions = 3
     far = np.array([0.0, 0.0, 0.3 * TIE_EPSILON, 1.0, 30.0, 1e9, 1e9 + 2.0])
     hs = histories(rng, n_actions) + [UserHistory.from_arrays("far", far, np.zeros(far.size, int))]
     structure = random_params(rng, n_actions=n_actions).structure
     panel = build_panel(hs, structure, 2e9)
-    bounds, x = panel.lp_bounds.tolist(), panel.lp_log_dt
-    n_cells = len(bounds) - 1
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        assert np.all(np.diff(x[lo:hi]) >= 0)
+    oracle = pair_panel(hs, structure, 2e9)
+    log_dt = np.log(oracle.lp_dt)
+    n_cells = structure.n_categories * n_actions
+    n_all = np.bincount(oracle.lp_cell, minlength=n_cells)
     skipped = kept = 0
     for _ in range(80):
         phi, gamma, kappa = extreme_weibull(rng, (structure.n_categories, n_actions))
-        blocks = panel.live_blocks(phi, gamma, kappa)
-        cells = [c for c, _ in blocks]
-        assert cells == sorted(cells)
-        for c in range(n_cells):
-            run = [b for cc, b in blocks if cc == c]
-            lo, hi = bounds[c], bounds[c + 1]
-            if run:
-                assert phi.flat[c] > 0
-                assert all(a.stop == b.start for a, b in zip(run, run[1:]))
-                assert all(0 < b.stop - b.start <= PAIR_BLOCK for b in run)
-                assert lo <= run[0].start and run[-1].stop <= hi
-            start, stop = (run[0].start, run[-1].stop) if run else (lo, lo)
-            dead = np.concatenate([x[lo:start], x[stop:hi]])
-            with np.errstate(over="ignore"):
-                values = weibull_kernel(dead, phi.flat[c], gamma.flat[c], kappa.flat[c])
-            assert np.all(values == 0.0), (c, phi.flat[c], gamma.flat[c], kappa.flat[c])
-            skipped += dead.size
-            kept += stop - start
+        pairs = panel.live_pairs(phi, gamma, kappa)
+        _, want, dropped = left_out(pairs, oracle)
+        c = oracle.lp_cell
+        with np.errstate(over="ignore"):
+            values = weibull_kernel(log_dt, phi.flat[c], gamma.flat[c], kappa.flat[c])
+        assert np.all(values[dropped[want]] == 0.0)
+        n_live = np.diff(pairs.bounds)
+        assert not n_live[(phi * gamma * kappa).ravel() == 0].any()
+        skipped += int(n_all.sum() - n_live.sum())
+        kept += int(n_live.sum())
     assert skipped > 0 and kept > 0
     # the far user's pairs from t = 0 sit in cell 0, where kappa log(dt)
-    # reaches the kernel's power cap: that cell is kept whole
+    # reaches the kernel's power cap: that cell keeps all of its pairs
     shape = (structure.n_categories, n_actions)
     ones = np.ones(shape)
-    blocks = panel.live_blocks(ones, ones, np.full(shape, KAPPA_MAX))
-    run = [b for c, b in blocks if c == 0]
-    assert KAPPA_MAX * x[bounds[1] - 1] >= 709.0
-    assert (run[0].start, run[-1].stop) == (bounds[0], bounds[1])
-    # past KAPPA_MAX a cell's smallest gaps can be dead where g still
-    # rises; such a cell is kept whole too
-    blocks = panel.live_blocks(ones, ones, np.full(shape, 100.0))
-    rising = [c for c in range(n_cells) if bounds[c] < bounds[c + 1]
-              and weibull_kernel(x[bounds[c]], 1.0, 1.0, 100.0) == 0.0]
-    assert rising
-    for c in rising:
-        run = [b for cc, b in blocks if cc == c]
-        assert (run[0].start, run[-1].stop) == (bounds[c], bounds[c + 1])
+    assert KAPPA_MAX * log_dt[oracle.lp_cell == 0].max() >= POWER_LOG_CAP
+    pairs = panel.live_pairs(ones, ones, np.full(shape, KAPPA_MAX))
+    assert pairs.bounds[1] - pairs.bounds[0] == n_all[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_responsibilities_match_all_pairs_oracle(seed):
-    """The E step's r against the oracle's r_raw / lam pair by pair, with
-    exact zeros outside the live ranges; with phi = 0 everywhere there is no
-    live range and lam still matches."""
+    """The E step's r against the oracle's r_raw / lam pair by pair; the
+    oracle's pairs it leaves out have r exactly 0.  With phi = 0 everywhere
+    no pair is built and lam still matches."""
     rng = np.random.default_rng(seed)
     n_actions = 3
     hs = histories(rng, n_actions)
@@ -223,26 +229,20 @@ def test_responsibilities_match_all_pairs_oracle(seed):
                       users=tuple(h.user for h in hs), kappa_range=(0.3, 6.0))
     panel = build_panel(hs, p.structure, HORIZON)
     oracle = pair_panel(hs, p.structure, HORIZON)
-    # each panel pair's index in the oracle's order
-    n = panel.n_events
-    key = oracle.lp_src * n + oracle.lp_dst
-    by_key = np.argsort(key)
-    at = by_key[np.searchsorted(key[by_key], panel.lp_src * n + panel.lp_dst)]
-    assert np.array_equal(oracle.lp_dst[at], panel.lp_dst)
     for q in (p, replace(p, phi=np.zeros_like(p.phi))):
         _, _, _, r_raw, lam_pairs = pair_event_contributions(q, oracle)
         resp, lam = _e_step_panel(q, panel)
         close(lam, lam_pairs)
-        want = r_raw[at] / lam_pairs[panel.lp_dst]
-        close(resp.r, want)
-        outside = np.ones(panel.lp_dst.size, dtype=bool)
-        for _, block in resp.live:
-            outside[block] = False
-        assert np.all(resp.r[outside] == 0.0) and np.all(want[outside] == 0.0)
+        got, want, dropped = left_out(resp.pairs, oracle)
+        # the oracle's r of each id (pairs with one id have one r)
+        r_id = np.zeros(dropped.size)
+        r_id[want] = r_raw / lam_pairs[oracle.lp_dst]
+        close(resp.r, r_id[got])
+        assert np.all(r_id[dropped] == 0.0)
         np.testing.assert_allclose(resp.event_totals(), 1.0, atol=1e-12)
         if q is p:
-            assert outside.any() and not outside.all()
-    assert resp.live == () and not resp.r.any()
+            assert dropped.any() and got.size
+    assert resp.pairs.dst.size == 0 and resp.r.size == 0
 
 
 def test_decay_sums_reads_the_index_in_place():
@@ -293,12 +293,12 @@ def test_chunks_never_split_ties():
 def test_memory_is_a_fraction_of_all_pairs():
     """Building the panel and one E step on a 2,000-event, 5-action user
     peak below a quarter of the all-pairs panel's bytes: four 8-byte arrays
-    for every event pair, and four for every same-action pair."""
+    for every event pair, and four for every same-action pair.  No panel
+    array grows with the same-action pairs."""
     rng = np.random.default_rng(5)
     n, n_actions = 2000, 5
-    h = UserHistory.from_arrays(
-        "u1", np.sort(rng.uniform(0.0, 2000.0, n)), rng.integers(0, n_actions, n)
-    )
+    actions = rng.integers(0, n_actions, n)
+    h = UserHistory.from_arrays("u1", np.sort(rng.uniform(0.0, 2000.0, n)), actions)
     p = random_params(rng, n_actions=n_actions, horizon=2000.0)
     tracemalloc.start()
     try:
@@ -307,12 +307,10 @@ def test_memory_is_a_fraction_of_all_pairs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    all_pairs_bytes = 32 * (n * (n - 1) // 2 + panel.lp_dst.size)
+    per_action = np.bincount(actions)
+    same_action_pairs = int((per_action * (per_action - 1) // 2).sum())
+    all_pairs_bytes = 32 * (n * (n - 1) // 2 + same_action_pairs)
     assert peak < all_pairs_bytes / 4
-    # the same-action pairs: a log gap and a later event each, plus the
-    # start of every Weibull cell
-    same_action_bytes = sum(
-        getattr(panel, f).nbytes for f in panel.__dataclass_fields__ if f.startswith("lp_")
-    )
-    n_cells = p.structure.n_categories * n_actions
-    assert same_action_bytes <= 16 * panel.lp_dst.size + 8 * (n_cells + 1)
+    sizes = [getattr(panel, f).size for f in panel.__dataclass_fields__
+             if isinstance(getattr(panel, f), np.ndarray)]
+    assert max(sizes) <= n * CHUNK_EVENTS < same_action_pairs
