@@ -28,20 +28,12 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .model import (
-    DAY_HOURS, POWER_LOG_CAP, TIE_EPSILON, ModelStructure, UserHistory, check_positive,
-    clamp_gaps, tod_categories,
+    DAY_HOURS, TIE_EPSILON, ModelStructure, UserHistory, check_positive, clamp_gaps,
+    tod_categories, weibull_limits,
 )
 
 # Target number of events per chunk; a run of ties can make a chunk longer.
 CHUNK_EVENTS = 32
-# A Weibull pair whose kernel exponent (kappa - 1) x - gamma e^(kappa x), at
-# its log gap x, lies below this is exactly zero: exp underflows to 0 below
-# about -745.1, and the margin dwarfs any rounding in the exponent.
-LIVE_EXPONENT = -800.0
-# Fixed-point steps of a cell's reach, and the log gap added to their result
-# so that it lands past the root; see ``_reach``.
-REACH_STEPS = 4
-REACH_MARGIN = 1e-6
 
 
 class WeibullPairs(NamedTuple):
@@ -151,23 +143,17 @@ class EventPanel:
         (C, A) parameters; every other pair's kernel is exactly 0.
 
         Each earlier event pairs with the later events of its run whose gap
-        is within ``exp(reach)`` of it, the reach of its cell from
-        :func:`_reach`, found by one binary search over all earlier events
-        that compares gaps only.  A cell with ``phi gamma kappa == 0`` has no
-        pair; one whose weight is not finite, or whose kappa takes
-        ``kappa log(gap)`` to ``POWER_LOG_CAP`` (where the kernel caps the
-        power) on the panel's longest same-action gap, keeps all of them."""
+        is within its cell's limit from :func:`~tipas.model.weibull_limits`
+        on the panel's longest same-action gap, found by one binary search
+        over all earlier events that compares gaps only.  A cell with
+        ``phi gamma kappa == 0`` has no pair; one whose weight is not finite,
+        or whose power is capped within that gap, keeps all of them."""
         phi, gamma, kappa = (np.ravel(w) for w in (phi, gamma, kappa))
         t = self.ev_t[self.sa_ev]
         src, end = self.sa_src, self.sa_end[self.sa_src]
         t_src = t[src]
-        longest = np.log(max((t[end - 1] - t_src).max(initial=0.0), TIE_EPSILON))
-        weight = phi * gamma * kappa
-        with np.errstate(over="ignore"):
-            limit = np.exp(_reach(gamma, kappa))
-        limit[~np.isfinite(weight) | (kappa * longest >= POWER_LOG_CAP)] = np.inf
-        limit[weight == 0] = -1.0  # below every gap
-        limit = np.repeat(limit, np.diff(self.sa_bounds))
+        longest = float((t[end - 1] - t_src).max(initial=0.0))
+        limit = np.repeat(weibull_limits(phi, gamma, kappa, longest), np.diff(self.sa_bounds))
         # binary search for each source's last run position within its limit
         pos = src.copy()
         step = 1 << (int((end - src).max(initial=1)) - 1).bit_length()
@@ -236,28 +222,6 @@ def _pairs_within(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     src -= (np.cumsum(counts) - counts)[dst]
     src += first[dst]
     return src, dst
-
-
-def _reach(gamma: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """Per Weibull cell, a log gap past which the kernel is exactly 0, or
-    inf where none is found.
-
-    The kernel is ``phi gamma kappa exp(g(x))`` at the log gap x, with
-    ``g(x) = (kappa - 1) x - gamma e^(kappa x)`` concave.  A few fixed-point
-    steps ``x <- (log(-LIVE_EXPONENT + (kappa - 1) x) - log gamma) / kappa``
-    approach the root of ``g = LIVE_EXPONENT`` on its falling side, and
-    ``REACH_MARGIN`` takes the result past it.  The result is kept only
-    where ``g(x) < LIVE_EXPONENT`` and ``g'(x) < 0``: by concavity every
-    longer gap is then dead too."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_gamma = np.log(gamma)
-        x = (np.log(-LIVE_EXPONENT) - log_gamma) / kappa
-        for _ in range(REACH_STEPS):
-            x = (np.log(-LIVE_EXPONENT + (kappa - 1.0) * x) - log_gamma) / kappa
-        x += REACH_MARGIN
-        power = gamma * np.exp(kappa * x)
-        dead = ((kappa - 1.0) * x - power < LIVE_EXPONENT) & (kappa - 1.0 - kappa * power < 0)
-    return np.where(dead, x, np.inf)
 
 
 def build_panel(

@@ -96,13 +96,6 @@ class MarkovModel:
                     row[nxt] += 1
         return self
 
-    def transition_probs(self, context: tuple) -> np.ndarray:
-        """Smoothed next-action distribution for a seen context."""
-        row = self.counts[len(context)].get(tuple(context))
-        if row is None:
-            raise InvalidInputError(f"context {context!r} unseen at order {len(context)}")
-        return (row + 1.0) / (row.sum() + self.n_actions)
-
     def predict_action(self, user, times, actions, t) -> int:
         recent = [int(a) for a in actions[-self.order :]]
         for o in range(len(recent), -1, -1):

@@ -135,13 +135,6 @@ class Responsibilities:
     pairs: WeibullPairs
     panel: EventPanel = field(repr=False)
 
-    def event_totals(self) -> np.ndarray:
-        """Sum of all attributions per event; should be 1 everywhere."""
-        tot = self.p0 + self.pz.sum(axis=1)
-        tot += self.q.sum(axis=1)
-        tot += np.bincount(self.pairs.dst, weights=self.r, minlength=tot.size)
-        return tot
-
 
 # ---------------------------------------------------------------------------
 # E step

@@ -222,8 +222,9 @@ def rescaled_interarrivals(params: ModelParams, history: UserHistory) -> np.ndar
     they feed straight into a Kolmogorov-Smirnov goodness-of-fit test.  One
     stream state walks the history, adding each event after its increment.
     """
-    none = np.empty(0, dtype=np.int64)
-    state = _StreamState(params, params.alpha_row(history.user), np.empty(0), none, none)
+    state = _StreamState(
+        params, params.alpha_row(history.user), np.empty(0), np.empty(0, dtype=np.int64)
+    )
     out = []
     for t, a in zip(history.times().tolist(), history.actions().tolist()):
         out.append(float(state.increments(np.array([t - state.clock]))[0]))

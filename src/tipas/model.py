@@ -21,6 +21,7 @@ number of threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Union
@@ -41,6 +42,18 @@ TIE_EPSILON = 1e-6
 
 # The Weibull kernel caps kappa * log(dt) here, so dt^kappa stays finite.
 POWER_LOG_CAP = 709.0
+
+# exp(-x) is exactly 0.0 for every x >= EXP_UNDERFLOW: it underflows below
+# about -745.13.  An exponential term with omega * dt past it adds nothing.
+EXP_UNDERFLOW = 746.0
+# A Weibull term whose kernel exponent (kappa - 1) x - gamma e^(kappa x), at
+# its log gap x, lies below this is exactly zero, and the margin over
+# -EXP_UNDERFLOW dwarfs any rounding in the exponent.
+LIVE_EXPONENT = -800.0
+# Fixed-point steps of a cell's reach, and the log gap added to their result
+# so that it lands past the root; see ``_reach``.
+REACH_STEPS = 4
+REACH_MARGIN = 1e-6
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -210,6 +223,20 @@ class RatePeaks(NamedTuple):
     # when the mode is 0) and phi
     weibull: np.ndarray
     weibull_live: np.ndarray  # (C, A) cells whose kernel is not identically 0
+    # the lag past which every exponential term, and every Weibull term below
+    # the power cap, is exactly 0.0 (see ``reach``); and the largest kappa of
+    # a live Weibull cell, which decides where the cap starts
+    reach_below_cap: float
+    kappa_live: float
+
+    def reach(self, oldest_gap: float) -> float:
+        """The lag past which every kernel term of every source is exactly
+        0.0, given that no source lies more than ``oldest_gap`` back: inf
+        where a live cell's power is capped within that gap (see
+        :func:`power_capped`), since no reach holds there."""
+        if power_capped(self.kappa_live, oldest_gap):
+            return math.inf
+        return self.reach_below_cap
 
 
 @dataclass(frozen=True)
@@ -292,6 +319,9 @@ class ModelParams:
         background = self.beta / (self.sigma * _SQRT_2PI)
         theta_omega = self.theta * self.omega
         tied = theta_omega * np.exp(-self.omega * TIE_EPSILON)
+        with np.errstate(divide="ignore", over="ignore"):
+            exp_reach = np.where(np.isfinite(theta_omega), EXP_UNDERFLOW / self.omega, np.inf)
+        live = weibull[3] > 0
         one_hot = np.eye(self.structure.n_actions)
         for arr in (weibull, background, theta_omega, tied, one_hot):
             arr.flags.writeable = False
@@ -304,7 +334,12 @@ class ModelParams:
             one_hot=one_hot,
             omega_min=self.omega.min(axis=1),
             weibull=weibull,
-            weibull_live=weibull[3] > 0,
+            weibull_live=live,
+            reach_below_cap=float(max(
+                exp_reach[theta_omega > 0].max(initial=0.0),
+                weibull_limits(ph, ga, ka, 0.0).max(initial=0.0),
+            )),
+            kappa_live=float(ka[live].max(initial=0.0)),
         )
 
     def alpha_row(self, user: str) -> np.ndarray:
@@ -339,17 +374,63 @@ def weibull_kernel(
     at the log gap ``log_dt = log(dt)``, dt strictly positive.
 
     Evaluated in log space so that huge dt^kappa underflows to zero instead
-    of producing inf * 0.  Taking the log gap lets the pair panel compute
+    of producing inf * 0, and gamma * dt^kappa may overflow to inf, whose
+    exp(-inf) is the exact 0.  Taking the log gap lets the pair panel compute
     each pair's log once.
     """
     with np.errstate(over="ignore"):
         power = np.exp(np.minimum(kappa * log_dt, POWER_LOG_CAP))
-    return phi * gamma * kappa * np.exp((kappa - 1.0) * log_dt - gamma * power)
+        return phi * gamma * kappa * np.exp((kappa - 1.0) * log_dt - gamma * power)
 
 
 def clamp_gaps(dt: np.ndarray) -> np.ndarray:
     """Push zero/negative gaps (timestamp ties) up to TIE_EPSILON."""
     return np.maximum(dt, TIE_EPSILON)
+
+
+def power_capped(kappa, gap: float):
+    """Where ``weibull_kernel`` caps the power at the gap ``gap`` (clamped
+    at TIE_EPSILON) for shape ``kappa``.  Below the cap the kernel's
+    exponent is concave in the log gap, so a reach (:func:`_reach`) holds;
+    at or past it the kernel may rise again and none does."""
+    return kappa * math.log(max(gap, TIE_EPSILON)) >= POWER_LOG_CAP
+
+
+def _reach(gamma: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Per Weibull cell, a log gap past which the kernel is exactly 0, or
+    inf where none is found.
+
+    The kernel is ``phi gamma kappa exp(g(x))`` at the log gap x, with
+    ``g(x) = (kappa - 1) x - gamma e^(kappa x)`` concave.  A few fixed-point
+    steps ``x <- (log(-LIVE_EXPONENT + (kappa - 1) x) - log gamma) / kappa``
+    approach the root of ``g = LIVE_EXPONENT`` on its falling side, and
+    ``REACH_MARGIN`` takes the result past it.  The result is kept only
+    where ``g(x) < LIVE_EXPONENT`` and ``g'(x) < 0``: by concavity every
+    longer gap below the power cap is then dead too."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_gamma = np.log(gamma)
+        x = (np.log(-LIVE_EXPONENT) - log_gamma) / kappa
+        for _ in range(REACH_STEPS):
+            x = (np.log(-LIVE_EXPONENT + (kappa - 1.0) * x) - log_gamma) / kappa
+        x += REACH_MARGIN
+        power = gamma * np.exp(kappa * x)
+        dead = ((kappa - 1.0) * x - power < LIVE_EXPONENT) & (kappa - 1.0 - kappa * power < 0)
+    return np.where(dead, x, np.inf)
+
+
+def weibull_limits(
+    phi: np.ndarray, gamma: np.ndarray, kappa: np.ndarray, longest_gap: float
+) -> np.ndarray:
+    """Per Weibull cell, the gap past which its kernel is exactly 0 at every
+    gap up to ``longest_gap``: ``exp`` of its :func:`_reach`; -1 (below every
+    gap) where ``phi gamma kappa == 0``; inf where that weight is not finite
+    or the power is capped within ``longest_gap``."""
+    weight = phi * gamma * kappa
+    with np.errstate(over="ignore"):
+        limit = np.exp(_reach(gamma, kappa))
+    limit[~np.isfinite(weight) | power_capped(kappa, longest_gap)] = np.inf
+    limit[weight == 0] = -1.0
+    return limit
 
 
 def _background_vector(params: ModelParams, t: float) -> np.ndarray:
@@ -389,10 +470,11 @@ def _intensity_vector_arrays(
     cats: np.ndarray,
     t: float,
 ) -> np.ndarray:
-    """Total intensity of every action at time t given an array-form prefix."""
-    # One-off queries rescan the prefix: building a _StreamState for one
-    # query costs 25-34% more at 30-90 events (2-core x86 machine) and wins
-    # only from about 900 events on.  It is also the oracle for the state.
+    """Total intensity of every action at time t given an array-form prefix.
+
+    Every event of the prefix is rescanned, so this is the oracle of the
+    stream state and of the cut that ``_live_tail`` makes; the public
+    queries pass it the live tail only."""
     lam = alpha_row + _background_vector(params, t)
     if times.size:
         dt = clamp_gaps(t - times)  # (n,)
@@ -414,13 +496,16 @@ class _StreamState:
     compensator from the last event (``increments``) that time prediction
     integrates.
 
-    Built once from a history in O(n A^2); afterwards each call costs
-    O(A^2 + live Weibull sources) per time or lag, and ``add(t, a)`` appends
-    an event, copying only the live sources, which the next ``bound``,
-    ``intensity`` or ``add`` prunes (see ``_negligible``); so a walk that
-    only calls ``increments`` and ``add`` stays short too.  ``clock`` is the
-    time of the last event (0 without one); later times must not decrease.
-    ``params`` are the parameters it was built from.
+    Built in O(A^2) per event within the model's reach of the last one
+    (``_live_tail``), after one binary search, so a model whose kernels
+    reach back hours builds in O(live window) however long the history.
+    Afterwards each call costs O(A^2 + live Weibull sources) per time or
+    lag, and ``add(t, a)`` appends an event, copying only the live sources,
+    which the next ``bound``, ``intensity`` or ``add`` prunes (see
+    ``_negligible``); so a walk that only calls ``increments`` and ``add``
+    stays short too.  ``clock`` is the time of the last event (0 without
+    one); later times must not decrease.  ``params`` are the parameters it
+    was built from.
     """
 
     def __init__(
@@ -429,7 +514,6 @@ class _StreamState:
         alpha_row: np.ndarray,
         times: np.ndarray,
         actions: np.ndarray,
-        cats: np.ndarray,
     ) -> None:
         peaks = params._rate_peaks
         self.params = params
@@ -450,11 +534,12 @@ class _StreamState:
         self._tied_total = peaks.tied_total
         self._neg_omega = -params.omega
         self.clock = float(times[-1]) if times.size else 0.0
+        times, actions, cats = _live_tail(params, times, actions, self.clock)
         gaps = self.clock - times
         m = int(np.count_nonzero(gaps >= TIE_EPSILON))  # times are sorted
         src = actions[:m]
         # skip sources whose every term underflows to 0 (exp is slow on them)
-        keep = gaps[:m] * peaks.omega_min[src] <= 746.0
+        keep = gaps[:m] * peaks.omega_min[src] <= EXP_UNDERFLOW
         src, gaps = src[keep], gaps[:m][keep]
         self._mass = self._theta_omega * (
             peaks.one_hot[src].T @ np.exp(self._neg_omega[src] * gaps[:, None])
@@ -466,6 +551,8 @@ class _StreamState:
         # then the constants of their cell (RatePeaks.weibull).  Cells whose
         # kernel is identically 0 add exactly nothing and are left out.
         self._cells, self._live_cell = peaks.weibull, peaks.weibull_live
+        self._edges = params.structure.tod_edges
+        self._last_cat = params.structure.n_categories - 1
         keep = self._live_cell[cats, actions]
         t_src, a_src = times[keep], actions[keep]
         live = np.empty((1 + len(self._cells), t_src.size))
@@ -586,7 +673,8 @@ class _StreamState:
         self._mass *= self._decay(t)
         self.clock = t
         self._recent.append((t, a))
-        c = int(tod_categories(self.params.structure, t))
+        # tod_categories for one time, without NumPy's per-call overhead
+        c = min(bisect_right(self._edges, t % DAY_HOURS) - 1, self._last_cat)
         if self._live_cell[c, a]:
             column = np.concatenate([[t], self._cells[:, c, a]])
             self._set_live(
@@ -598,10 +686,10 @@ class _StreamState:
 
 def _prefix_arrays(
     structure: ModelStructure, prefix: HistoryPrefix, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, actions and time-of-day categories of a prefix that ends at or
-    before ``t``.  A UserHistory is read without copying; records are
-    converted (and checked) by its constructor."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and actions of a prefix that ends at or before ``t``.  A
+    UserHistory is read without copying; records are converted (and
+    checked) by its constructor."""
     if not isinstance(prefix, UserHistory):
         prefix = UserHistory("", prefix)
     times, actions = prefix.times(), prefix.actions()
@@ -614,7 +702,29 @@ def _prefix_arrays(
             raise InvalidInputError(
                 f"action {actions.max()} out of range for {structure.n_actions} actions"
             )
-    return times, actions, tod_categories(structure, times)
+    return times, actions
+
+
+def _live_tail(
+    params: ModelParams, times: np.ndarray, actions: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The events of a sorted prefix that lie within the model's reach of
+    ``t`` (``RatePeaks.reach``), as views, and their time-of-day categories.
+
+    Every kernel term of an earlier event is exactly 0.0 at ``t``: its
+    clamped gap is at least its true gap, which is past the reach.  Past
+    the reach the kernels only fall (below the power cap, as the state's
+    pruning also assumes), so the term stays 0.0 at later times too."""
+    k = 0
+    if times.size:
+        reach = params._rate_peaks.reach(t - times[0])
+        if reach < math.inf:
+            k = int(np.searchsorted(times, t - reach))
+            # t - reach is rounded: keep every tie run whose gap is in reach
+            while k and t - times[k - 1] <= reach:
+                k = int(np.searchsorted(times, times[k - 1]))
+    times, actions = times[k:], actions[k:]
+    return times, actions, tod_categories(params.structure, times)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +736,8 @@ def intensity_vector(
     params: ModelParams, user: str, history_prefix: HistoryPrefix, t: float
 ) -> np.ndarray:
     """Conditional intensity of every action at time ``t``, shape (A,)."""
-    times, actions, cats = _prefix_arrays(params.structure, history_prefix, t)
+    times, actions = _prefix_arrays(params.structure, history_prefix, t)
+    times, actions, cats = _live_tail(params, times, actions, t)
     return _intensity_vector_arrays(
         params, params.alpha_row(user), times, actions, cats, t
     )

@@ -18,9 +18,9 @@ from .model import (
     ModelParams,
     UserHistory,
     _intensity_vector_arrays,
+    _live_tail,
     _prefix_arrays,
     _StreamState,
-    tod_categories,
 )
 
 logger = logging.getLogger(__name__)
@@ -69,7 +69,8 @@ def predict_next_action(params: ModelParams, task: PredictionTask) -> ActionPred
     When every action has zero intensity the prediction degenerates to
     action 0 and is flagged.
     """
-    times, actions, cats = _prefix_arrays(params.structure, task.history_prefix, task.t)
+    times, actions = _prefix_arrays(params.structure, task.history_prefix, task.t)
+    times, actions, cats = _live_tail(params, times, actions, task.t)
     lam = _intensity_vector_arrays(
         params, params.alpha_row(task.user), times, actions, cats, task.t
     )
@@ -168,8 +169,8 @@ def predict_next_time(
     must be positive and finite.
     """
     _check_horizon_filter(horizon_filter)
-    times, actions, cats = _prefix_arrays(params.structure, history, math.inf)
-    state = _StreamState(params, params.alpha_row(user), times, actions, cats)
+    times, actions = _prefix_arrays(params.structure, history, math.inf)
+    state = _StreamState(params, params.alpha_row(user), times, actions)
     return _next_time(state, CENSOR_FACTOR * horizon_filter)
 
 
@@ -192,7 +193,7 @@ class TipasPredictor:
 
     def walk(self, user, times, actions) -> _TipasWalk:
         p = self.params
-        walk = _TipasWalk(p, p.alpha_row(user), times, actions, tod_categories(p.structure, times))
+        walk = _TipasWalk(p, p.alpha_row(user), times, actions)
         walk.span = CENSOR_FACTOR * self.horizon_filter
         return walk
 

@@ -98,8 +98,8 @@ def intensity_upper_bound(
     """
     if window <= 0:
         raise InvalidInputError("window must be positive")
-    times, actions, cats = _prefix_arrays(params.structure, history, t)
-    return _StreamState(params, params.alpha_row(user), times, actions, cats).bound(t)
+    times, actions = _prefix_arrays(params.structure, history, t)
+    return _StreamState(params, params.alpha_row(user), times, actions).bound(t)
 
 
 def _simulate_stream(
@@ -107,7 +107,6 @@ def _simulate_stream(
     alpha_row: np.ndarray,
     times: np.ndarray,
     actions: np.ndarray,
-    cats: np.ndarray,
     start: float,
     horizon: float,
     rng: np.random.Generator,
@@ -117,7 +116,7 @@ def _simulate_stream(
     stop_after: int | None = None,
 ) -> tuple[list[float], list[int]]:
     s = params.structure
-    state = _StreamState(params, alpha_row, times, actions, cats)
+    state = _StreamState(params, alpha_row, times, actions)
     out_t: list[float] = []
     out_a: list[int] = []
     end = start + horizon
@@ -168,7 +167,7 @@ def simulate(
 ) -> list[EventRecord]:
     """Draw events on (t_last, t_last + horizon] given ``seed_history``,
     from the Philox stream of ``config.seed``."""
-    times, actions, cats = _prefix_arrays(params.structure, seed_history, math.inf)
+    times, actions = _prefix_arrays(params.structure, seed_history, math.inf)
     start = float(times[-1]) if times.size else 0.0
     rng = _stream_rng(config.seed)
     out_t, out_a = _simulate_stream(
@@ -176,7 +175,6 @@ def simulate(
         params.alpha_row(user),
         times,
         actions,
-        cats,
         start,
         config.horizon,
         rng,
@@ -222,7 +220,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[UserHistory]:
     for i, user in enumerate(users):
         rng = _stream_rng(spec.seed, i)
         out_t, out_a = _simulate_stream(
-            params, params.alpha[i], empty, empty_i, empty_i, 0.0, spec.horizon, rng
+            params, params.alpha[i], empty, empty_i, 0.0, spec.horizon, rng
         )
         histories.append(UserHistory.from_arrays(user, out_t, out_a))
     return histories

@@ -11,7 +11,9 @@ all-pairs form of the panel and the event terms: every ordered event pair of
 a user is stored with its clamped gap and summed directly.
 ``pair_weibull_objective`` is the profiled Weibull bound of the M step
 summed pair by pair over that panel, with its derivatives written out from
-the formula.
+the formula.  ``event_totals`` sums each event's E-step attributions, and
+``transition_probs`` reads a fitted Markov baseline's smoothed next-action
+distribution.
 """
 
 import math
@@ -143,7 +145,7 @@ def short_term_intensity(
     exp(-omega[a', a] * (t - t'))``.
     """
     _check_action(params, a)
-    times, actions, _ = _prefix_arrays(params.structure, history_prefix, t)
+    times, actions = _prefix_arrays(params.structure, history_prefix, t)
     if not times.size:
         return 0.0
     dt = clamp_gaps(t - times)
@@ -160,7 +162,8 @@ def long_term_intensity(
     selected by the time-of-day category of that earlier event.
     """
     _check_action(params, a)
-    times, actions, cats = _prefix_arrays(params.structure, history_prefix, t)
+    times, actions = _prefix_arrays(params.structure, history_prefix, t)
+    cats = tod_categories(params.structure, times)
     mask = actions == a
     if not mask.any():
         return 0.0
@@ -179,7 +182,8 @@ def total_intensity(
 ) -> float:
     """Full conditional intensity of action ``a`` for ``user`` at time ``t``."""
     _check_action(params, a)
-    times, actions, cats = _prefix_arrays(params.structure, history_prefix, t)
+    times, actions = _prefix_arrays(params.structure, history_prefix, t)
+    cats = tod_categories(params.structure, times)
     lam = _intensity_vector_arrays(params, params.alpha_row(user), times, actions, cats, t)
     return float(lam[a])
 
@@ -363,3 +367,21 @@ def pair_weibull_objective(params: ModelParams, panel: PairPanel, r: np.ndarray)
         return f, g, hess
 
     return objective
+
+
+def event_totals(resp) -> np.ndarray:
+    """Sum of all attributions per event of E-step responsibilities; should
+    be 1 everywhere."""
+    tot = resp.p0 + resp.pz.sum(axis=1)
+    tot += resp.q.sum(axis=1)
+    tot += np.bincount(resp.pairs.dst, weights=resp.r, minlength=tot.size)
+    return tot
+
+
+def transition_probs(model, context: tuple) -> np.ndarray:
+    """Smoothed next-action distribution of a fitted ``MarkovModel`` for a
+    seen context."""
+    row = model.counts[len(context)].get(tuple(context))
+    if row is None:
+        raise InvalidInputError(f"context {context!r} unseen at order {len(context)}")
+    return (row + 1.0) / (row.sum() + model.n_actions)

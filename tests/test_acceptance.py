@@ -48,7 +48,7 @@ from tipas.predict import make_tipas_factory
 from tipas.simulate import params_for_users
 
 from conftest import random_histories, random_params
-from oracles import quadrature_compensator
+from oracles import event_totals, quadrature_compensator
 
 
 @contextmanager
@@ -207,7 +207,7 @@ def test_criterion_03_responsibility_normalization():
             if n == 0:
                 continue
             resp = e_step(p, hs)
-            np.testing.assert_allclose(resp.event_totals(), 1.0, atol=1e-12)
+            np.testing.assert_allclose(event_totals(resp), 1.0, atol=1e-12)
             total += n
 
 

@@ -19,6 +19,8 @@ from tipas import (
     UserHistory,
 )
 
+from oracles import transition_probs
+
 
 def hist(user, *pairs):
     ordered = sorted(pairs, key=lambda p: p[1])
@@ -84,7 +86,7 @@ class TestMarkov:
         )
         for order_counts in m.counts:
             for ctx in order_counts:
-                probs = m.transition_probs(ctx)
+                probs = transition_probs(m, ctx)
                 assert probs.sum() == pytest.approx(1.0, abs=1e-12)
                 assert np.all(probs > 0)
 

@@ -23,7 +23,7 @@ from tipas import (
     log_likelihood,
     rescaled_interarrivals,
 )
-from tipas.model import TIE_EPSILON, _StreamState, tod_categories
+from tipas.model import TIE_EPSILON, _StreamState
 from tipas.simulate import params_for_users
 
 from conftest import random_histories, random_params, zero_params
@@ -306,9 +306,7 @@ class TestStreamStateIncrements:
             p = params_with_idle_cells(rng)
             h = history_with_close_end(rng)
             times, actions = h.times(), h.actions()
-            state = _StreamState(
-                p, p.alpha[0], times, actions, tod_categories(p.structure, times)
-            )
+            state = _StreamState(p, p.alpha[0], times, actions)
             start = state.clock
             got = state.increments(self.LAGS)
             base = integrated_total_intensity(p, h, start)
@@ -323,11 +321,10 @@ class TestStreamStateIncrements:
             p = params_with_idle_cells(rng)
             h = history_with_close_end(rng)
             times, actions = h.times(), h.actions()
-            cats = tod_categories(p.structure, times)
-            walked = _StreamState(p, p.alpha[0], times[:0], actions[:0], cats[:0])
+            walked = _StreamState(p, p.alpha[0], times[:0], actions[:0])
             for t, a in zip(times.tolist(), actions.tolist()):
                 walked.add(t, a)
-            fresh = _StreamState(p, p.alpha[0], times, actions, cats)
+            fresh = _StreamState(p, p.alpha[0], times, actions)
             np.testing.assert_allclose(
                 walked.increments(self.LAGS), fresh.increments(self.LAGS), rtol=1e-12, atol=0.0
             )
@@ -357,8 +354,7 @@ class TestStreamStateIncrements:
             spec, _ = load_spec(path)
         (h,) = generate_synthetic(replace(spec, n_users=1, horizon=12000.0, seed=0))
         p = params_for_users(spec.params, [h.user])
-        none = np.empty(0, dtype=np.int64)
-        state = _StreamState(p, p.alpha_row(h.user), np.empty(0), none, none)
+        state = _StreamState(p, p.alpha_row(h.user), np.empty(0), np.empty(0, dtype=np.int64))
         sizes = []
         for t, a in zip(h.times().tolist(), h.actions().tolist()):
             state.increments(np.array([t - state.clock]))

@@ -1,6 +1,8 @@
 """Intensity components against hand-computed values and their invariants."""
 
 import math
+from dataclasses import replace
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,10 +15,24 @@ from tipas import (
     InvalidInputError,
     ModelParams,
     ModelStructure,
+    PredictionTask,
     UserHistory,
+    generate_synthetic,
     intensity_vector,
+    predict_next_action,
     time_of_day,
 )
+from tipas import model
+from tipas.dataio import load_spec
+from tipas.model import (
+    EXP_UNDERFLOW,
+    TIE_EPSILON,
+    _intensity_vector_arrays,
+    _live_tail,
+    _StreamState,
+    tod_categories,
+)
+from tipas.simulate import params_for_users
 
 from conftest import random_histories, random_params, zero_params
 from oracles import (
@@ -377,3 +393,169 @@ class TestDomainTypes:
         p = zero_params(ModelStructure(n_actions=1, n_mixtures=1))
         with pytest.raises(ValueError):
             p.beta[0, 0] = 1.0
+
+
+def reach_params(rng, kind):
+    """Three actions, one mixture, four time-of-day cells.  Action 2 has no
+    preference or background, so a term as small as 1e-300 shows in its
+    rate.  ``kind`` picks the kernels: "mixed" draws kappa log-uniform on
+    [1e-3, 40], gamma near 1, e^-700 or e^700, and omega log-uniform on
+    [1, 1e3] per cell, with few cells live, so that the reach is often
+    shorter than the history; "none" sets every theta * omega and phi to 0
+    (reach 0); "slow" gives every exponential cell an omega so small that
+    its reach passes any span drawn here."""
+    s = ModelStructure(n_actions=3, n_mixtures=1, horizon=100.0)
+    a, c = 3, s.n_categories
+    log_gamma = rng.choice([0.0, -700.0, 700.0], (c, a)) + rng.uniform(-2.0, 2.0, (c, a))
+    theta = rng.uniform(0.05, 0.5, (a, a)) * (rng.random((a, a)) < 0.4)
+    omega = np.exp(rng.uniform(0.0, np.log(1e3), (a, a)))
+    phi = rng.uniform(0.05, 1.0, (c, a)) * (rng.random((c, a)) < 0.15)
+    if kind == "none":
+        theta, phi = theta * (rng.random((a, a)) < 0.5), np.zeros((c, a))
+        omega[theta > 0] = 0.0
+    elif kind == "slow":
+        omega = np.full((a, a), 1e-6)
+    return ModelParams(
+        structure=s,
+        users=("u",),
+        alpha=np.array([[0.02, 0.01, 0.0]]),
+        beta=np.array([[0.3], [0.2], [0.0]]),
+        mu=np.array([[9.0], [15.0], [12.0]]),
+        sigma=np.array([[2.0], [3.0], [1.0]]),
+        theta=theta,
+        omega=omega,
+        phi=phi,
+        gamma=np.exp(log_gamma),
+        kappa=np.exp(rng.uniform(np.log(1e-3), np.log(40.0), (c, a))),
+    )
+
+
+def reach_history(rng):
+    """Up to 120 events over 600 h with exact ties and gaps below
+    TIE_EPSILON."""
+    n = int(rng.integers(1, 120))
+    t = np.sort(rng.uniform(0.0, 600.0, n))
+    t[1::4] = t[0::4][: t[1::4].size]
+    t[2::5] = t[1::5][: t[2::5].size] + 0.5 * TIE_EPSILON
+    return np.sort(t), rng.integers(0, 3, n)
+
+
+def capped_params():
+    """One action whose Weibull cells have kappa = 40 and gamma = e^-702.5:
+    below the power cap the kernel is exactly 0 past about 5.1e7 h, but
+    with the power capped at a gap of 1e9 h it is about e^-556 again."""
+    s = ModelStructure(n_actions=1, n_mixtures=1, horizon=100.0)
+    return ModelParams(
+        structure=s,
+        users=("u",),
+        alpha=np.zeros((1, 1)),
+        beta=np.zeros((1, 1)),
+        mu=np.full((1, 1), 12.0),
+        sigma=np.ones((1, 1)),
+        theta=np.zeros((1, 1)),
+        omega=np.ones((1, 1)),
+        phi=np.ones((4, 1)),
+        gamma=np.full((4, 1), math.exp(-702.5)),
+        kappa=np.full((4, 1), 40.0),
+    )
+
+
+def uncut_tail(params, times, actions, t):
+    return times, actions, tod_categories(params.structure, times)
+
+
+class TestLiveTail:
+    """The queries cut each prefix to the events within the model's reach;
+    the full-prefix rescan (``_intensity_vector_arrays``) is the oracle."""
+
+    LAGS = np.array([1e-9, TIE_EPSILON, 0.5, 3.0, 30.0, 120.0])
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(71)
+        for trial in range(210):
+            p = reach_params(rng, ("mixed", "none", "slow")[trial % 3])
+            times, actions = reach_history(rng)
+            yield rng, p, times, actions
+        # sources 1e9 h back, where kappa log(gap) reaches POWER_LOG_CAP
+        times = np.array([0.0, 1e9, 1e9, 1e9 + 0.5 * TIE_EPSILON, 2e9])
+        yield rng, capped_params(), times, np.zeros(5, dtype=np.int64)
+
+    def test_queries_equal_the_full_rescan(self):
+        for rng, p, times, actions in self._cases():
+            h = UserHistory.from_arrays("u", times, actions)
+            cats = tod_categories(p.structure, times)
+            last = float(times[-1])
+            for t in (last, last + 0.5 * TIE_EPSILON, last + float(rng.uniform(0.0, 200.0))):
+                want = _intensity_vector_arrays(p, p.alpha[0], times, actions, cats, t)
+                assert np.array_equal(intensity_vector(p, "u", h, t), want)
+                got = predict_next_action(p, PredictionTask("u", h, t))
+                assert np.array_equal(got.intensities, want)
+                assert got.action == int(np.argmax(want))
+
+    def test_capped_sources_stay(self):
+        p = capped_params()
+        times = np.array([0.0, 1e9])
+        h = UserHistory.from_arrays("u", times, np.zeros(2, dtype=np.int64))
+        t = 1e9 + 5.0
+        # the term of the source 1e9 h back is about e^-556, not 0
+        far = intensity_vector(p, "u", h.until(0.0), t)[0]
+        assert 1e-250 < far < 1e-230
+        assert intensity_vector(p, "u", h, t)[0] >= far
+
+    def test_demo_truth_reaches_back_124_hours(self):
+        # the exponential cell theta[0, 1] = 0.5, omega = 6 reaches furthest
+        with resources.as_file(resources.files("tipas").joinpath("data/demo_spec.json")) as path:
+            spec, _ = load_spec(path)
+        p = params_for_users(spec.params, ["u"])
+        reach = p._rate_peaks.reach(24.0 * 365)
+        assert reach == EXP_UNDERFLOW / 6.0
+        (h,) = generate_synthetic(replace(spec, n_users=1, horizon=24.0 * 60, seed=3))
+        times, actions = h.times(), h.actions()
+        t = float(times[-1]) + 1.0
+        tail, _, cats = _live_tail(p, times, actions, t)
+        assert tail.size == np.count_nonzero(t - times <= reach) < times.size // 4
+        want = _intensity_vector_arrays(
+            p, p.alpha[0], times, actions, tod_categories(p.structure, times), t
+        )
+        assert np.array_equal(intensity_vector(p, "u", h, t), want)
+        state = _StreamState(p, p.alpha[0], times, actions)
+        assert state._t_src.size < times.size // 4
+
+    def test_nan_query_time_raises(self):
+        p = reach_params(np.random.default_rng(72), "mixed")
+        h = UserHistory.from_arrays("u", [1.0, 2.0], [0, 1])
+        with pytest.raises(InvalidInputError):
+            intensity_vector(p, "u", h, math.nan)
+        with pytest.raises(InvalidInputError):
+            predict_next_action(p, PredictionTask("u", h, math.nan))
+
+    @staticmethod
+    def _snapshot(state, t):
+        # with gamma near e^700 the state's gamma * dt^kappa overflows to
+        # inf, whose term exp(-inf) = 0 is exact, but warns
+        with np.errstate(over="ignore"):
+            return state.bound(t), state.intensity(t), state.increments(TestLiveTail.LAGS)
+
+    def test_state_equals_full_prefix_state(self, monkeypatch):
+        for rng, p, times, actions in self._cases():
+            last = float(times[-1])
+            tail, tail_a, _ = _live_tail(p, times, actions, last)
+            cut = _StreamState(p, p.alpha[0], tail, tail_a)
+            full = _StreamState(p, p.alpha[0], times, actions)
+            with monkeypatch.context() as m:
+                m.setattr(model, "_live_tail", uncut_tail)
+                uncut = _StreamState(p, p.alpha[0], times, actions)
+            assert cut.clock == full.clock == uncut.clock == last
+            later = last + float(rng.uniform(0.0, 50.0))
+            for step in range(2):
+                for t in (full.clock, full.clock + 0.5 * TIE_EPSILON, later):
+                    got = self._snapshot(full, t)
+                    for want in (self._snapshot(cut, t), self._snapshot(uncut, t)):
+                        for g, w in zip(got, want):
+                            assert np.array_equal(g, w)
+                if step == 0:
+                    a = int(rng.integers(0, p.structure.n_actions))
+                    for state in (cut, full, uncut):
+                        state.add(later, a)
+                    later += float(rng.uniform(0.0, 50.0))

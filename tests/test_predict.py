@@ -222,12 +222,11 @@ class TestPredictNextTime:
         times, actions = hist.times(), hist.actions()
         for _ in range(2):
             p = random_params(rng, users=("u1",), kappa_range=(0.5, 2.5))
-            cats = tod_categories(p.structure, times)
             draws = np.random.default_rng(5)
             waits = np.empty(n_draws)
             for i in range(n_draws):
                 out_t, _ = _simulate_stream(
-                    p, p.alpha_row("u1"), times, actions, cats, 23.0, span, draws,
+                    p, p.alpha_row("u1"), times, actions, 23.0, span, draws,
                     window=span, stop_after=1,
                 )
                 waits[i] = out_t[0] - 23.0 if out_t else span
@@ -363,8 +362,7 @@ class PrefixOracle:
 
     def predict_time(self, user, times, actions):
         p = self.params
-        cats = tod_categories(p.structure, times)
-        state = _StreamState(p, p.alpha_row(user), times, actions, cats)
+        state = _StreamState(p, p.alpha_row(user), times, actions)
         try:
             return _next_time(state, self.span).time
         except CensoredPredictionError:
@@ -478,7 +476,7 @@ class TestStreamedDriver:
         times = np.arange(0.0, 9600.0, 8.0)
         actions = np.zeros(times.size, dtype=np.int64)
         cats = tod_categories(s, times)
-        state = _StreamState(p, p.alpha[0], times[:0], actions[:0], cats[:0])
+        state = _StreamState(p, p.alpha[0], times[:0], actions[:0])
         sizes = []
         for k, t in enumerate(times.tolist()):
             lam = state.intensity(t)

@@ -183,7 +183,7 @@ class TestIncrementalThinning:
             window = (0.5, 1.0, horizon)[trial % 3]
             stop_after = 1 if trial % 4 == 3 else None
             got_t, got_a = _simulate_stream(
-                p, p.alpha[0], times, actions, cats, start, horizon,
+                p, p.alpha[0], times, actions, start, horizon,
                 _stream_rng(trial, 7), window=window, stop_after=stop_after,
             )
             want_t, want_a = thinning_oracle._simulate_stream(
@@ -225,7 +225,7 @@ class TestIncrementalThinning:
         empty = np.empty(0)
         no_events = np.empty(0, dtype=np.int64)
         out_t, out_a = _simulate_stream(
-            p, p.alpha[0], empty, no_events, no_events, 0.0, 4000.0, _stream_rng(3)
+            p, p.alpha[0], empty, no_events, 0.0, 4000.0, _stream_rng(3)
         )
         assert len(out_t) >= 1000
         times, actions = np.array(out_t), np.array(out_a)
@@ -255,7 +255,7 @@ class TestIncrementalThinning:
         times = np.arange(0.0, 2400.0, 8.0)
         actions = np.zeros(times.size, dtype=np.int64)
         cats = tod_categories(s, times)
-        state = _ThinningState(p, p.alpha[0], times[:-1], actions[:-1], cats[:-1])
+        state = _ThinningState(p, p.alpha[0], times[:-1], actions[:-1])
         state.add(2392.0, 0)
         # 0.1 h after the last source its term is ~1e-31, yet still rising
         # toward a peak a day later, so it must stay
