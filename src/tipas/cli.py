@@ -55,15 +55,16 @@ def _tod_edges(n_windows: int) -> tuple[float, ...]:
     return tuple(i * DAY_HOURS / n_windows for i in range(n_windows)) + (DAY_HOURS,)
 
 
-def _mixture_parser(allow_auto: bool):
-    """The argparse type of ``--mixtures``: a positive integer, or 'auto'
-    where ``allow_auto``; anything else is a usage error."""
-    wanted = "a positive integer" + (" or 'auto'" if allow_auto else "")
+def _int_parser(minimum: int, allow_auto: bool = False):
+    """An argparse type: an integer of at least ``minimum`` (0 or 1), or
+    'auto' where ``allow_auto``; anything else is a usage error."""
+    wanted = ("a positive" if minimum else "a non-negative") + " integer"
+    wanted += " or 'auto'" if allow_auto else ""
 
     def parse(text: str) -> int | str:
         if allow_auto and text == "auto":
             return text
-        if text.isascii() and text.isdigit() and int(text) > 0:
+        if text.isascii() and text.isdigit() and int(text) >= minimum:
             return int(text)
         raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
 
@@ -75,12 +76,12 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_fit_opts(sp, with_mixture_auto=False):
-        sp.add_argument("--mixtures", type=_mixture_parser(with_mixture_auto), default=3,
+        sp.add_argument("--mixtures", type=_int_parser(1, with_mixture_auto), default=3,
                         help="background mixture count, or 'auto' for grid selection"
                         if with_mixture_auto else "background mixture count")
         sp.add_argument("--windows", type=int, default=4,
                         help="number of equal time-of-day windows per day")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_int_parser(0), default=0)
         sp.add_argument("--tol", type=float, default=1e-6,
                         help="relative log-likelihood stopping tolerance")
         sp.add_argument("--max-iters", type=int, default=500)
@@ -113,7 +114,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--users", type=int, default=None,
                     help="how many of the model's users to simulate (default all)")
     sp.add_argument("--horizon", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_parser(0), default=0)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("generate", help="generate a synthetic dataset from a spec")

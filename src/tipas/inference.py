@@ -84,6 +84,8 @@ class FitConfig:
             raise InvalidInputError("n_mixtures must be >= 1")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
+        if self.rng_seed < 0:
+            raise InvalidInputError(f"rng_seed must be >= 0, got {self.rng_seed}")
         check_positive("rel_ll_tolerance", self.rel_ll_tolerance)
 
 

@@ -17,10 +17,9 @@ from .model import (
     HistoryPrefix,
     ModelParams,
     UserHistory,
-    _intensity_vector_arrays,
-    _live_tail,
     _prefix_arrays,
     _StreamState,
+    intensity_vector,
 )
 
 logger = logging.getLogger(__name__)
@@ -69,11 +68,7 @@ def predict_next_action(params: ModelParams, task: PredictionTask) -> ActionPred
     When every action has zero intensity the prediction degenerates to
     action 0 and is flagged.
     """
-    times, actions = _prefix_arrays(params.structure, task.history_prefix, task.t)
-    times, actions, cats = _live_tail(params, times, actions, task.t)
-    lam = _intensity_vector_arrays(
-        params, params.alpha_row(task.user), times, actions, cats, task.t
-    )
+    lam = intensity_vector(params, task.user, task.history_prefix, task.t)
     return ActionPrediction(
         action=int(np.argmax(lam)),
         degenerate=not bool(np.any(lam > 0)),

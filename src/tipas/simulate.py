@@ -49,6 +49,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_positive("horizon", self.horizon)
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.max_events < 1:
             raise InvalidInputError("max_events must be >= 1")
 
@@ -70,6 +72,8 @@ class SyntheticSpec:
         if self.n_users < 0:
             raise InvalidInputError("n_users must be >= 0")
         check_positive("horizon", self.horizon)
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if len(self.params.users) not in (0, 1, self.n_users):
             raise InvalidInputError(
                 "params must define 0, 1 or n_users alpha rows, got "

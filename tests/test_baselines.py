@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tipas import (
+    BASELINE_NAMES,
     AverageIntervalModel,
     CopyModel,
     EventRecord,
@@ -17,6 +18,7 @@ from tipas import (
     TimeCopyModel,
     UserAverageIntervalModel,
     UserHistory,
+    make_baseline,
 )
 
 from oracles import transition_probs
@@ -167,3 +169,37 @@ class TestTimeBaselines:
         m = TimeCopyModel().fit([hist("u", (0, 1.0))])
         with pytest.raises(InvalidStateError):
             m.predict_time("u", np.array([1.0]), np.array([0]))
+
+
+class TestRegistry:
+    def test_names_in_report_order(self):
+        assert BASELINE_NAMES == (
+            "copy",
+            "markov1",
+            "markov2",
+            "markov3",
+            "markov4",
+            "markov5",
+            "pp-global",
+            "pp-user",
+            "time-copy",
+            "avg-interval",
+            "user-avg-interval",
+        )
+
+    @pytest.mark.parametrize("name", BASELINE_NAMES)
+    def test_every_name_builds_and_predicts(self, name):
+        train = [hist("u", (0, 1.0), (1, 3.0), (0, 6.0)), hist("v", (1, 2.0), (1, 5.0))]
+        m = make_baseline(name, train, 2, 10.0)
+        assert m.supports_action == hasattr(m, "predict_action")
+        assert m.supports_time == hasattr(m, "predict_time")
+        t, a = arrays(train[0])
+        if m.supports_action:
+            assert m.predict_action("u", t, a, 7.0) in (0, 1)
+        if m.supports_time:
+            assert m.predict_time("u", t, a) > 6.0
+
+    @pytest.mark.parametrize("name", ["nope", "markov6", "markov", "COPY"])
+    def test_unknown_name_is_invalid_input(self, name):
+        with pytest.raises(InvalidInputError, match="unknown baseline"):
+            make_baseline(name, [hist("u", (0, 1.0), (0, 2.0))], 1, 10.0)

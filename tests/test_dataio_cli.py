@@ -275,6 +275,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "usage" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "simulate"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, command, seed):
+        spec, vocab = _small_spec()
+        model, data, out = tmp_path / "m.json", tmp_path / "d.jsonl", tmp_path / "out"
+        save_model(spec.params, vocab, model)
+        save_histories([UserHistory("u", (EventRecord(0, 1.0), EventRecord(0, 40.0)))],
+                       vocab, data)
+        source = ["--model", str(model), "--horizon", "24"] if command == "simulate" \
+            else ["--data", str(data)]
+        code = main([command, *source, "--seed", seed, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "must be a non-negative integer" in err and "Traceback" not in err
+
+    def test_negative_spec_seed_is_data_error(self, tmp_path, capsys):
+        spec, vocab = _small_spec()
+        spec_path, out = tmp_path / "s.json", tmp_path / "g.jsonl"
+        save_spec(spec, vocab, spec_path)
+        doc = json.loads(spec_path.read_text())
+        doc["seed"] = -3
+        spec_path.write_text(json.dumps(doc))
+        assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_auto_mixtures_on_one_day_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         save_histories([UserHistory("u", (EventRecord(0, 1.0), EventRecord(0, 23.5)))],

@@ -391,6 +391,10 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit([UserHistory("u", ())], FitConfig())
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="rng_seed must be >= 0"):
+            FitConfig(rng_seed=-1)
+
     def test_convergence_flag(self):
         rng = np.random.default_rng(12)
         hs = random_histories(rng, n_users=2, max_events=15, horizon=48.0)

@@ -8,6 +8,7 @@ from scipy import stats
 
 from tipas import (
     EventRecord,
+    InvalidInputError,
     ModelParams,
     ModelStructure,
     SimConfig,
@@ -269,6 +270,14 @@ class TestGenerateSynthetic:
     def test_zero_users(self):
         p = zero_params(ModelStructure(n_actions=1, n_mixtures=1))
         assert generate_synthetic(SyntheticSpec(n_users=0, params=p, horizon=10.0)) == []
+
+    def test_negative_seed_rejected(self):
+        # NumPy's seeding refuses a negative entropy; the configs say so first
+        p = zero_params(ModelStructure(n_actions=1, n_mixtures=1))
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            SyntheticSpec(n_users=1, params=p, horizon=10.0, seed=-3)
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            SimConfig(horizon=10.0, seed=-1)
 
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(5)
